@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 from repro.config import SimConfig
 from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
 from repro.sim import SimulationResult, baseline_config, paper_configs
-from repro.workloads import workload_names
 
 #: Instructions simulated per run (after warm-up) and warm-up length.
 MAX_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", 60_000))
@@ -35,15 +34,12 @@ TIMEOUT: Optional[float] = (
     else None
 )
 RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", 0))
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", 1))
 ISOLATION = os.environ.get(
-    "REPRO_BENCH_ISOLATION",
-    "process" if (TIMEOUT is not None or WORKERS > 1) else "inline",
+    "REPRO_BENCH_ISOLATION", "process" if TIMEOUT is not None else "inline"
 )
 
 _runner = CampaignRunner(
-    timeout=TIMEOUT, retries=RETRIES, isolation=ISOLATION,
-    workers=WORKERS, on_error="fail",
+    timeout=TIMEOUT, retries=RETRIES, isolation=ISOLATION, on_error="fail",
 )
 
 #: Pointer-intensive benchmarks (the paper's averages exclude turb3d).
@@ -65,41 +61,6 @@ def configs_by_label() -> Dict[str, SimConfig]:
 def run(workload: str, label: str) -> SimulationResult:
     """One cached simulation of ``workload`` under configuration ``label``."""
     return run_custom(workload, label, configs_by_label()[label])
-
-
-def run_matrix() -> Dict[Tuple[str, str], SimulationResult]:
-    """All 36 runs of the main evaluation (Figures 5-9, Table 2).
-
-    With ``REPRO_BENCH_WORKERS > 1`` the not-yet-cached cells run as
-    one parallel campaign instead of one ``run_one`` at a time — same
-    per-cell results (the runner's parallel schedule is result-
-    identical), filled into the same cache.
-    """
-    labelled = configs_by_label()
-    missing = [
-        (workload, label)
-        for workload in workload_names()
-        for label in CONFIG_LABELS
-        if (workload, label) not in _cache
-    ]
-    if WORKERS > 1 and len(missing) > 1:
-        specs = [
-            RunSpec(
-                run_id=f"{workload}/{label}",
-                config=labelled[label],
-                trace=WorkloadSpec(workload, seed=SEED),
-                max_instructions=MAX_INSTRUCTIONS,
-                warmup_instructions=WARMUP_INSTRUCTIONS,
-            )
-            for workload, label in missing
-        ]
-        campaign = _runner.run(specs)
-        for (workload, label), spec in zip(missing, specs):
-            _cache[(workload, label)] = campaign.results[spec.run_id]
-    else:
-        for workload, label in missing:
-            run(workload, label)
-    return dict(_cache)
 
 
 def run_custom(workload: str, label: str, config: SimConfig) -> SimulationResult:

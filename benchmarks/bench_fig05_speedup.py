@@ -12,7 +12,7 @@ confidence allocation is what rescues burg and sis.
 from _shared import CONFIG_LABELS, POINTER_PROGRAMS, run, speedup
 
 from repro.analysis.report import ascii_table
-from repro.workloads import workload_names
+from repro.workloads import PAPER_WORKLOADS
 
 _PREFETCHERS = [label for label in CONFIG_LABELS if label != "Base"]
 
@@ -21,13 +21,13 @@ def test_fig05_speedup_over_base(benchmark):
     def experiment():
         return {
             name: {label: speedup(name, label) for label in _PREFETCHERS}
-            for name in workload_names()
+            for name in PAPER_WORKLOADS
         }
 
     speedups = benchmark.pedantic(experiment, rounds=1, iterations=1)
     rows = [
         [name] + [f"{speedups[name][label]:+.1f}%" for label in _PREFETCHERS]
-        for name in workload_names()
+        for name in PAPER_WORKLOADS
     ]
     averages = {
         label: sum(speedups[name][label] for name in POINTER_PROGRAMS)

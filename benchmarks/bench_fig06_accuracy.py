@@ -8,7 +8,7 @@ allocation prevents the accuracy collapse on sis.
 from _shared import CONFIG_LABELS, run
 
 from repro.analysis.report import ascii_table
-from repro.workloads import workload_names
+from repro.workloads import PAPER_WORKLOADS, workload_names
 
 _PREFETCHERS = [label for label in CONFIG_LABELS if label != "Base"]
 
@@ -26,7 +26,7 @@ def test_fig06_prefetch_accuracy(benchmark):
     accuracy = benchmark.pedantic(experiment, rounds=1, iterations=1)
     rows = [
         [name] + [f"{accuracy[name][label] * 100:.0f}%" for label in _PREFETCHERS]
-        for name in workload_names()
+        for name in PAPER_WORKLOADS
     ]
     print()
     print(

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Smoke check: tier-1 tests, an invariant-checked simulation, a
 # golden-model differential check, a chaos-injected sweep verified by
-# the offline auditor, a kill-restart check of the campaign service
-# (bit-identical resume, strict audit), and one tiny end-to-end
-# fault-injected campaign (crash + hang + checkpointed resume) through
-# the real CLI entry points.  Exits non-zero on the first problem.
+# the offline auditor, and one tiny end-to-end fault-injected campaign
+# (crash + hang + checkpointed resume) through the real CLI entry
+# points.  Exits non-zero on the first problem.
 #
 # Usage: scripts/smoke.sh [extra pytest args...]
 set -euo pipefail
@@ -171,10 +170,6 @@ assert counters["cache_corrupted"] >= 1, counters
 print("smoke: chaos sweep manifest + audit checks passed")
 EOF
 rm -rf "$chaos_dir"
-
-echo
-echo "== campaign service: kill-restart, bit-identical resume, strict audit =="
-python scripts/service_smoke.py --instructions 3000
 
 echo
 echo "== end-to-end campaign with fault injection =="

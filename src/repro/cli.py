@@ -358,14 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit = commands.add_parser(
         "audit",
-        help="verify a campaign or service directory is consistent",
+        help="verify a campaign directory is consistent",
         description=(
             "Offline consistency audit of a campaign directory: "
             "checkpoint line CRCs, run_id/fingerprint coherence, result "
             "round-trips, manifest-vs-checkpoint agreement, and leftover "
-            "snapshots/temp files.  A directory holding a jobs.jsonl is "
-            "audited as a campaign-service directory instead: job store "
-            "vs leases vs per-job manifests.  Exit status 1 when any "
+            "snapshots/temp files.  Exit status 1 when any "
             "error-level issue is found (the artifacts disagree with "
             "each other); warnings report damage the runner already "
             "recovered from."
@@ -373,127 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "campaign_dir", metavar="CAMPAIGN_DIR",
-        help="campaign directory (checkpoint.jsonl + manifest.json) "
-             "or service directory (jobs.jsonl)",
+        help="campaign directory (checkpoint.jsonl + manifest.json)",
     )
     audit.add_argument(
         "--strict", action="store_true",
         help="treat warnings as failures too",
-    )
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the crash-safe campaign service",
-        description=(
-            "Start the long-lived campaign server: a stdlib HTTP API "
-            "over a durable job queue.  Submitted sweeps execute through "
-            "the campaign runner under lease-based ownership; SIGTERM "
-            "drains gracefully (in-flight jobs checkpoint and re-queue) "
-            "and a restart resumes exactly where the previous server "
-            "stopped."
-        ),
-    )
-    serve.add_argument(
-        "service_dir", metavar="SERVICE_DIR",
-        help="directory for jobs.jsonl, leases/, and per-job run dirs",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8765,
-        help="listen port; 0 picks a free one (default: 8765)",
-    )
-    serve.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="jobs to execute concurrently (default: 1)",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="lease time-to-live; a worker silent this long loses its "
-             "job to the reaper (default: 30)",
-    )
-    serve.add_argument(
-        "--max-queued", type=int, default=16, metavar="N",
-        help="admission queue bound; submissions beyond it get HTTP "
-             "429 + Retry-After (default: 16)",
-    )
-    serve.add_argument(
-        "--max-expiries", type=int, default=3, metavar="N",
-        help="lease expiries a job survives before it is poisoned "
-             "(default: 3)",
-    )
-    serve.add_argument(
-        "--poll-interval", type=float, default=0.1, metavar="SECONDS",
-        help="scheduler claim/reap cadence (default: 0.1)",
-    )
-    serve.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
-        help="inject a deterministic schedule of service faults (torn "
-             "job-log appends, duplicate submissions) for durability "
-             "testing",
-    )
-
-    submit = commands.add_parser(
-        "submit",
-        help="submit a sweep job to a running campaign service",
-        description=(
-            "POST one sweep spec to a campaign server.  Submission is "
-            "idempotent (the same spec returns the same job) and "
-            "back-pressure aware (a full queue is reported with its "
-            "Retry-After)."
-        ),
-    )
-    submit.add_argument("workload", choices=workload_names())
-    submit.add_argument(
-        "--server", default="http://127.0.0.1:8765", metavar="URL",
-        help="service base URL (default: http://127.0.0.1:8765)",
-    )
-    submit.add_argument(
-        "--machines", default="all",
-        help="comma-separated machine names, or 'all' (default)",
-    )
-    submit.add_argument("--instructions", type=int, default=5000)
-    submit.add_argument("--warmup", type=int, default=None,
-                        help="default: instructions // 3")
-    submit.add_argument("--seed", type=int, default=1)
-    submit.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="parallel workers for the job's campaign (default: 1)",
-    )
-    submit.add_argument("--timeout", type=float, default=None)
-    submit.add_argument("--retries", type=int, default=0)
-    submit.add_argument(
-        "--snapshot-every", type=int, default=None, metavar="CYCLES",
-    )
-    submit.add_argument(
-        "--no-isolate", action="store_true",
-        help="run the job's points in-process on the server",
-    )
-    submit.add_argument(
-        "--wait", action="store_true",
-        help="poll until the job reaches a terminal state",
-    )
-    submit.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="with --wait: poll interval (default: 0.5)",
-    )
-
-    jobs = commands.add_parser(
-        "jobs",
-        help="list or inspect jobs on a campaign service",
-        description=(
-            "Without JOB_ID, list every job the server knows with its "
-            "state and tallies.  With JOB_ID, show that job's full "
-            "record; --events streams its buffered progress lines."
-        ),
-    )
-    jobs.add_argument("job_id", nargs="?", metavar="JOB_ID")
-    jobs.add_argument(
-        "--server", default="http://127.0.0.1:8765", metavar="URL",
-        help="service base URL (default: http://127.0.0.1:8765)",
-    )
-    jobs.add_argument(
-        "--events", action="store_true",
-        help="with JOB_ID: print the job's progress event lines",
     )
 
     check = commands.add_parser(
@@ -1349,181 +1231,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_audit(args: argparse.Namespace) -> int:
-    from repro.runner import audit_campaign, audit_service, is_service_dir
+    from repro.runner import audit_campaign
 
-    if is_service_dir(args.campaign_dir):
-        report = audit_service(args.campaign_dir)
-    else:
-        report = audit_campaign(args.campaign_dir)
+    report = audit_campaign(args.campaign_dir)
     print(report.summary())
     if not report.ok:
         return 1
     if args.strict and report.warnings:
         return 1
-    return 0
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service import CampaignService
-
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.runner import ChaosSpec
-
-        chaos = ChaosSpec.service_scheduled(args.chaos_seed)
-    service = CampaignService(
-        args.service_dir,
-        host=args.host,
-        port=args.port,
-        job_workers=args.job_workers,
-        lease_ttl=args.lease_ttl,
-        max_queued=args.max_queued,
-        max_expiries=args.max_expiries,
-        poll_interval=args.poll_interval,
-        chaos=chaos,
-    )
-
-    def _announce(started: "CampaignService") -> None:
-        # The port may have been 0 (pick a free one); announce the
-        # resolved URL so scripts can parse it before submitting.
-        print(
-            f"repro-sim service listening on {started.url} "
-            f"(owner {started.owner})",
-            flush=True,
-        )
-
-    asyncio.run(service.run(on_ready=_announce))
-    print("repro-sim service drained cleanly", flush=True)
-    return 0
-
-
-def _command_submit(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.service.client import request_json
-
-    payload = {
-        "workload": args.workload,
-        "machines": args.machines,
-        "instructions": args.instructions,
-        "seed": args.seed,
-        "workers": args.workers,
-        "retries": args.retries,
-        "isolation": "inline" if args.no_isolate else "process",
-    }
-    if args.warmup is not None:
-        payload["warmup"] = args.warmup
-    if args.timeout is not None:
-        payload["timeout"] = args.timeout
-    if args.snapshot_every is not None:
-        payload["snapshot_every"] = args.snapshot_every
-    status, headers, body = request_json(
-        "POST", f"{args.server}/jobs", payload
-    )
-    if status == 429:
-        retry_after = headers.get("retry-after", "?")
-        print(
-            f"repro-sim: service is saturated (HTTP 429); "
-            f"retry after {retry_after}s",
-            file=sys.stderr,
-        )
-        return 1
-    if status == 503:
-        print(
-            "repro-sim: service is draining (HTTP 503); "
-            "resubmit after it restarts",
-            file=sys.stderr,
-        )
-        return 1
-    if status not in (200, 201):
-        detail = body.get("error") if isinstance(body, dict) else body
-        print(f"repro-sim: submit failed (HTTP {status}): {detail}",
-              file=sys.stderr)
-        return 1
-    job = body["job"]
-    verb = "submitted" if body.get("created") else "already known"
-    print(f"job {job['job_id']} {verb} ({job['state']})")
-    if not args.wait:
-        return 0
-    while True:
-        status, _, job = request_json(
-            "GET", f"{args.server}/jobs/{job['job_id']}"
-        )
-        if status != 200:
-            print(
-                f"repro-sim: job poll failed (HTTP {status})",
-                file=sys.stderr,
-            )
-            return 1
-        if job.get("terminal"):
-            break
-        _time.sleep(args.poll)
-    print(f"job {job['job_id']} finished: {job['state']}")
-    if job.get("summary"):
-        summary = job["summary"]
-        print(
-            f"  points: {summary.get('ok', 0)} ok, "
-            f"{summary.get('failed', 0)} failed, "
-            f"{summary.get('poisoned', 0)} poisoned "
-            f"of {summary.get('total_points', '?')}"
-        )
-    if job.get("error"):
-        error = job["error"]
-        print(f"  error: {error.get('kind')}: {error.get('message')}")
-    return 0 if job.get("state") == "done" else 1
-
-
-def _command_jobs(args: argparse.Namespace) -> int:
-    from repro.service.client import request_json
-
-    if args.job_id is None:
-        status, _, body = request_json("GET", f"{args.server}/jobs")
-        if status != 200:
-            print(f"repro-sim: jobs list failed (HTTP {status})",
-                  file=sys.stderr)
-            return 1
-        rows = []
-        for job in body.get("jobs", []):
-            summary = job.get("summary") or {}
-            rows.append([
-                job["job_id"],
-                job["state"],
-                job.get("spec", {}).get("workload", "?"),
-                str(len(job.get("spec", {}).get("machines", []))),
-                str(summary.get("ok", "-")),
-                str(job.get("expiries", 0)),
-            ])
-        print(ascii_table(
-            ["job", "state", "workload", "machines", "ok", "expiries"],
-            rows, title="Jobs",
-        ))
-        return 0
-    if args.events:
-        status, _, body = request_json(
-            "GET", f"{args.server}/jobs/{args.job_id}/events"
-        )
-        if status != 200:
-            print(f"repro-sim: events fetch failed (HTTP {status})",
-                  file=sys.stderr)
-            return 1
-        if isinstance(body, str):
-            print(body, end="")
-        else:
-            print(json.dumps(body, indent=2, sort_keys=True))
-        return 0
-    status, _, body = request_json(
-        "GET", f"{args.server}/jobs/{args.job_id}"
-    )
-    if status == 404:
-        print(f"repro-sim: no job {args.job_id!r}", file=sys.stderr)
-        return 1
-    if status != 200:
-        print(f"repro-sim: job fetch failed (HTTP {status})",
-              file=sys.stderr)
-        return 1
-    print(json.dumps(body, indent=2, sort_keys=True))
     return 0
 
 
@@ -1546,12 +1261,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_sweep(args)
     if args.command == "audit":
         return _command_audit(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
-    if args.command == "jobs":
-        return _command_jobs(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

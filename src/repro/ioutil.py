@@ -13,11 +13,10 @@ import cycles.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 import zlib
-from typing import Any, Union
+from typing import Union
 
 
 def crc32_of(data: Union[bytes, bytearray, memoryview]) -> int:
@@ -49,9 +48,3 @@ def atomic_write_text(path: str, text: str) -> None:
             except OSError:
                 pass
 
-
-def atomic_write_json(path: str, payload: Any, indent: int = 2) -> None:
-    """Serialize ``payload`` and write it to ``path`` atomically."""
-    atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=True) + "\n"
-    )

@@ -22,8 +22,6 @@ from repro.runner.audit import (
     AuditIssue,
     AuditReport,
     audit_campaign,
-    audit_service,
-    is_service_dir,
 )
 from repro.runner.campaign import (
     CampaignResult,
@@ -55,8 +53,6 @@ __all__ = [
     "AuditIssue",
     "AuditReport",
     "audit_campaign",
-    "audit_service",
-    "is_service_dir",
     "CampaignResult",
     "CampaignRunner",
     "ChaosEngine",

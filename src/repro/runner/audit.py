@@ -27,8 +27,6 @@ persistence story the runner tells:
 Verification failures are **errors** (the directory lies about its
 campaign); recoverable damage the runner already survived — a CRC-
 rejected line, a quarantined snapshot — surfaces as **warnings**.
-This is the boot-time check the ROADMAP's campaign server runs before
-trusting a persistent job store.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ __all__ = [
     "AuditIssue",
     "AuditReport",
     "audit_campaign",
-    "audit_service",
-    "is_service_dir",
 ]
 
 #: Terminal statuses a checkpoint entry may carry.
@@ -391,277 +387,3 @@ def _audit_litter(report: AuditReport) -> None:
     report.stats["snapshots_stale"] = len(stale)
     report.stats["snapshots_quarantined"] = len(quarantined)
     report.stats["manifest_tmp_files"] = len(tmp_files)
-
-
-# -- service directories -----------------------------------------------
-
-
-def is_service_dir(path: str) -> bool:
-    """Does ``path`` look like a campaign-service directory?
-
-    The job log is the service's defining artifact; its presence is how
-    ``repro-sim audit`` decides which audit to run.
-    """
-    from repro.service.jobstore import JOBS_NAME
-
-    return os.path.isfile(os.path.join(path, JOBS_NAME))
-
-
-def audit_service(service_dir: str) -> AuditReport:
-    """Cross-check a service directory: job store ↔ leases ↔ manifests.
-
-    Extends the campaign audit one level up.  The job log replays
-    under the same CRC32 rules as a checkpoint; every replayed record
-    is checked for internal consistency (terminal jobs carry their
-    summary or error); leases are matched against job states (a lease
-    for a finished job is litter, a running job without a live lease
-    is a crashed worker the reaper will recover); and every *done*
-    job's run directory is audited as a full campaign whose manifest
-    must agree with the summary the job store recorded.  Transient
-    damage the service recovers from by design — an expired lease, a
-    torn log line — surfaces as warnings; contradictions between
-    layers are errors.
-    """
-    report = AuditReport(campaign_dir=service_dir)
-    if not os.path.isdir(service_dir):
-        report._add(
-            "error", "service.missing",
-            f"{service_dir!r} is not a directory",
-        )
-        return report
-    records = _audit_jobstore(report)
-    _audit_leases(report, records)
-    _audit_job_runs(report, records)
-    _audit_service_litter(report)
-    return report
-
-
-def _audit_jobstore(report: AuditReport) -> Dict[str, Dict[str, Any]]:
-    """Replay ``jobs.jsonl``; job_id -> last valid record."""
-    from repro.service.jobstore import (
-        JOB_STATES,
-        JOBS_NAME,
-        TERMINAL_STATES,
-        job_id_of,
-    )
-
-    path = os.path.join(report.campaign_dir, JOBS_NAME)
-    records: Dict[str, Dict[str, Any]] = {}
-    #: job_id -> every distinct rev its entries were logged under
-    #: (``None`` = a legacy entry from before revision keying).
-    revs_seen: Dict[str, set] = {}
-    lines = corrupt = 0
-    for number, line, entry, problem in iter_checkpoint_lines(
-        path, key="job_id"
-    ):
-        lines += 1
-        if problem is not None:
-            corrupt += 1
-            detail = {
-                "json": "does not parse (torn write)",
-                "crc": "CRC32 mismatch (bit rot)",
-                "shape": "not a job-keyed object",
-            }[problem]
-            report._add(
-                "warning", f"jobs.line.{problem}",
-                f"{JOBS_NAME} line {number}: {detail}",
-            )
-            continue
-        assert entry is not None
-        records[entry["job_id"]] = entry
-        revs_seen.setdefault(entry["job_id"], set()).add(entry.get("rev"))
-    # Mixed-rev collisions: one job_id whose log entries span code
-    # revisions means its run directory may mix results from different
-    # code — exactly the aliasing the (spec, rev) keying exists to
-    # prevent.  Legacy spec-only ids are how this happens in practice.
-    for job_id in sorted(revs_seen):
-        revs = revs_seen[job_id]
-        named = sorted(r for r in revs if r is not None)
-        if len(named) > 1 or (named and None in revs):
-            span = " + ".join(
-                named + (["unversioned"] if None in revs else [])
-            )
-            report._add(
-                "error", "job.rev.collision",
-                f"job {job_id!r}: entries span code revisions ({span}); "
-                f"its recorded results may mix code versions",
-            )
-    # A revision-keyed id must be the hash it claims to be; a mismatch
-    # means the log was hand-edited or the entry was forged under the
-    # wrong key.  Legacy (rev-less) entries get the spec-only check as
-    # a warning — their ids predate the keying fix.
-    for job_id, entry in records.items():
-        rev = entry.get("rev")
-        expected = job_id_of(entry.get("spec", {}), rev)
-        if job_id != expected:
-            report._add(
-                "error" if rev is not None else "warning",
-                "job.id.mismatch",
-                f"job {job_id!r}: id does not match its content address "
-                f"{expected!r} for spec+rev={rev!r}",
-            )
-    if lines and not records:
-        report._add(
-            "error", "jobs.unreadable",
-            f"{JOBS_NAME} has {lines} lines but none replay",
-        )
-    for job_id, entry in records.items():
-        state = entry.get("state")
-        if state not in JOB_STATES:
-            report._add(
-                "error", "job.state",
-                f"job {job_id!r}: unknown state {state!r}",
-            )
-            continue
-        if state == "done" and not isinstance(entry.get("summary"), dict):
-            report._add(
-                "error", "job.summary.missing",
-                f"job {job_id!r}: state done but no summary recorded",
-            )
-        if state in ("failed", "poisoned"):
-            error_record = entry.get("error") or {}
-            if not error_record.get("kind") or not error_record.get(
-                "message"
-            ):
-                report._add(
-                    "error", "job.error.missing",
-                    f"job {job_id!r}: state {state} but no error "
-                    f"kind/message",
-                )
-        if state in TERMINAL_STATES and entry.get("owner"):
-            report._add(
-                "error", "job.owner.terminal",
-                f"job {job_id!r}: state {state} but still records "
-                f"owner {entry.get('owner')!r}",
-            )
-    report.stats["job_lines"] = lines
-    report.stats["job_corrupt_lines"] = corrupt
-    report.stats["jobs"] = len(records)
-    for state in JOB_STATES:
-        report.stats[f"jobs_{state}"] = sum(
-            1 for e in records.values() if e.get("state") == state
-        )
-    return records
-
-
-def _audit_leases(
-    report: AuditReport, records: Dict[str, Dict[str, Any]]
-) -> None:
-    """Match lease files against job states."""
-    import time as _time
-
-    from repro.service.jobstore import TERMINAL_STATES
-    from repro.service.lease import LEASE_SUFFIX, LEASES_DIR, Lease
-
-    lease_dir = os.path.join(report.campaign_dir, LEASES_DIR)
-    now = _time.time()
-    leased: Dict[str, Any] = {}
-    for path in sorted(glob.glob(os.path.join(lease_dir, f"*{LEASE_SUFFIX}"))):
-        name = os.path.basename(path)
-        job_id = name[: -len(LEASE_SUFFIX)]
-        try:
-            with open(path) as handle:
-                lease = Lease.from_dict(json.load(handle))
-        except (OSError, json.JSONDecodeError, TypeError, KeyError):
-            report._add(
-                "error", "lease.unparsable",
-                f"lease file {name} does not parse",
-            )
-            continue
-        leased[job_id] = lease
-        record = records.get(job_id)
-        if record is None:
-            report._add(
-                "warning", "lease.orphaned",
-                f"lease file {name} names a job the store does not know",
-            )
-            continue
-        state = record.get("state")
-        if state in TERMINAL_STATES or state == "queued":
-            report._add(
-                "warning", "lease.orphaned",
-                f"lease file {name} held by {lease.owner!r} but job "
-                f"{job_id!r} is {state} (release was lost or skipped)",
-            )
-        elif lease.expired(now):
-            report._add(
-                "warning", "lease.expired",
-                f"job {job_id!r}: lease held by {lease.owner!r} "
-                f"expired {now - lease.expires_at:.1f}s ago "
-                f"(worker crashed or wedged; reaper will recover it)",
-            )
-    for job_id, record in records.items():
-        if record.get("state") == "running" and job_id not in leased:
-            report._add(
-                "warning", "job.running.unleased",
-                f"job {job_id!r}: recorded running but no lease file "
-                f"exists (worker crashed; reaper will recover it)",
-            )
-    report.stats["leases"] = len(leased)
-
-
-def _audit_job_runs(
-    report: AuditReport, records: Dict[str, Dict[str, Any]]
-) -> None:
-    """Audit every finished job's run directory as a full campaign."""
-    from repro.service.jobstore import RUNS_DIR
-
-    runs_root = os.path.join(report.campaign_dir, RUNS_DIR)
-    audited = 0
-    for job_id, record in sorted(records.items()):
-        if record.get("state") != "done":
-            continue
-        run_dir = os.path.join(runs_root, job_id)
-        manifest_path = os.path.join(run_dir, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            report._add(
-                "error", "job.manifest.missing",
-                f"job {job_id!r}: state done but its run directory has "
-                f"no manifest",
-            )
-            continue
-        audited += 1
-        sub = audit_campaign(run_dir)
-        for issue in sub.issues:
-            report._add(
-                issue.severity, issue.code,
-                f"job {job_id!r}: {issue.message}",
-            )
-        try:
-            with open(manifest_path) as handle:
-                job_manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue  # already reported by the sub-audit
-        if job_manifest.get("status") != "complete":
-            report._add(
-                "error", "job.manifest.status",
-                f"job {job_id!r}: state done but manifest status is "
-                f"{job_manifest.get('status')!r}",
-            )
-        summary = record.get("summary") or {}
-        for key in ("total_points", "ok", "failed", "poisoned"):
-            if key in summary and summary[key] != job_manifest.get(key):
-                report._add(
-                    "error", "job.manifest.disagrees",
-                    f"job {job_id!r}: store summary says {key}="
-                    f"{summary[key]} but manifest says "
-                    f"{job_manifest.get(key)}",
-                )
-    report.stats["job_runs_audited"] = audited
-
-
-def _audit_service_litter(report: AuditReport) -> None:
-    """Orphaned atomic-write temp files under the service tree."""
-    from repro.service.lease import LEASES_DIR
-
-    tmp_files = sorted(
-        glob.glob(os.path.join(report.campaign_dir, "*.tmp.*"))
-        + glob.glob(os.path.join(report.campaign_dir, LEASES_DIR, "*.tmp.*"))
-    )
-    for path in tmp_files:
-        report._add(
-            "warning", "service.tmp",
-            f"orphaned temp file {os.path.relpath(path, report.campaign_dir)} "
-            f"(an atomic write died before its os.replace)",
-        )
-    report.stats["service_tmp_files"] = len(tmp_files)

@@ -117,7 +117,7 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.sim.sweep imports us back
     from repro.sim.results import SimulationResult
 
 #: Upper bound on how long the parallel driver blocks in ``wait`` before
-#: re-checking for a requested stop (signal or cross-thread).
+#: re-checking for a requested stop (a handled signal).
 _STOP_POLL_INTERVAL = 0.5
 
 
@@ -558,10 +558,10 @@ class CampaignRunner:
     def request_stop(self) -> None:
         """Ask a running campaign to stop at the next safe boundary.
 
-        Safe to call from a signal handler or another thread.  The
-        serial driver stops before launching the next point (the
-        in-flight attempt finishes and is checkpointed); the parallel
-        driver stops launching and kills its outstanding workers
+        Safe to call from a signal handler or an ``on_outcome``
+        callback.  The serial driver stops before launching the next
+        point (the in-flight attempt finishes and is checkpointed); the
+        parallel driver stops launching and kills its outstanding workers
         (their un-checkpointed points re-run on resume).  Either way
         the runner flushes pending checkpoint appends and writes a
         resumable manifest with status ``"interrupted"`` before
@@ -1465,9 +1465,9 @@ class _ParallelDriver:
     ) -> Optional[float]:
         """How long ``wait`` may block: to the nearest deadline or the
         nearest retry-eligibility time, whichever comes first — capped
-        at half a second so a cross-thread :meth:`CampaignRunner.request_stop`
-        (or a handled signal) is noticed promptly even when every
-        worker is deep in a long point."""
+        at half a second so a :meth:`CampaignRunner.request_stop` from a
+        handled signal is noticed promptly even when every worker is
+        deep in a long point."""
         marks = [
             deadline
             for _, _, deadline in running.values()

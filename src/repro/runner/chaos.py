@@ -76,22 +76,6 @@ class ChaosSpec:
     corrupt_snapshot_retries: Tuple[int, ...] = ()
     #: Manifest rewrites whose temp file is torn (replace abandoned).
     torn_manifest_writes: Tuple[int, ...] = ()
-    #: Service job-store appends that fail with ENOSPC before writing.
-    enospc_job_appends: Tuple[int, ...] = ()
-    #: Service job-store appends that write half a line, then fail.
-    torn_job_appends: Tuple[int, ...] = ()
-    #: Submission indices the HTTP front end replays twice (the store's
-    #: idempotent dedup must absorb the duplicate).
-    duplicate_submissions: Tuple[int, ...] = ()
-    #: Lease-renewal indices where the worker "crashes" between
-    #: renewals: the heartbeat stops and the run is abandoned, so the
-    #: lease must expire and the reaper must re-enqueue the job.
-    drop_lease_renewals: Tuple[int, ...] = ()
-    #: Lease-renewal indices where the lease is force-expired under its
-    #: owner (the expired-lease race): the renewal must fence with
-    #: :class:`~repro.errors.LeaseLostError` and the owner must abandon
-    #: the job without recording a completion.
-    steal_lease_renewals: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for name in (
@@ -101,11 +85,6 @@ class ChaosSpec:
             "poison_points",
             "corrupt_snapshot_retries",
             "torn_manifest_writes",
-            "enospc_job_appends",
-            "torn_job_appends",
-            "duplicate_submissions",
-            "drop_lease_renewals",
-            "steal_lease_renewals",
         ):
             values = getattr(self, name)
             if any(value < 0 for value in values):
@@ -121,12 +100,6 @@ class ChaosSpec:
                 f"ChaosSpec: points {sorted(overlap)} are in both "
                 f"kill_points and poison_points"
             )
-        races = set(self.drop_lease_renewals) & set(self.steal_lease_renewals)
-        if races:
-            raise ValueError(
-                f"ChaosSpec: renewals {sorted(races)} are in both "
-                f"drop_lease_renewals and steal_lease_renewals"
-            )
 
     @property
     def is_noop(self) -> bool:
@@ -139,11 +112,6 @@ class ChaosSpec:
             and not self.corrupt_cache
             and not self.corrupt_snapshot_retries
             and not self.torn_manifest_writes
-            and not self.enospc_job_appends
-            and not self.torn_job_appends
-            and not self.duplicate_submissions
-            and not self.drop_lease_renewals
-            and not self.steal_lease_renewals
         )
 
     @classmethod
@@ -203,50 +171,6 @@ class ChaosSpec:
             corrupt_cache="bitflip" if intensity > 0 else "",
         )
 
-    @classmethod
-    def service_scheduled(
-        cls, seed: int, submissions: int = 4, torn: bool = False
-    ) -> "ChaosSpec":
-        """A deterministic schedule of *service-level* faults.
-
-        Targets the campaign service's admission and persistence paths
-        for a workload of roughly ``submissions`` job submissions: two
-        job-store appends fail with ENOSPC, and one submission is
-        replayed twice by the front end.  All of these must be absorbed
-        *without residue* — the failed entries are re-appended by
-        ``flush_pending``, the duplicate deduplicates onto the existing
-        job — so a seeded chaos service run ends with the same job
-        states as a fault-free one and a strict audit stays clean.
-
-        ``torn=True`` turns one of the append faults into a mid-line
-        torn write instead.  The store survives that too (the fragment
-        is confined to its own CRC-rejected line and healed over), but
-        the fragment is deliberately audit-visible as a warning, so
-        torn chaos is opt-in for runs that gate on ``audit --strict``.
-        Lease faults (``drop_lease_renewals``/``steal_lease_renewals``)
-        are left to explicit schedules: they trade wall-clock time for
-        coverage, which tests opt into individually.
-        """
-        if submissions <= 0:
-            raise ValueError(
-                "ChaosSpec.service_scheduled: submissions must be > 0"
-            )
-        rng = random.Random(seed ^ 0x5EC)
-        # Each job's lifecycle appends at least twice (queued, running),
-        # so indices below 2 * submissions are guaranteed to fire; keep
-        # the two append faults distinct.
-        first = rng.randrange(2 * submissions)
-        second = rng.randrange(2 * submissions)
-        if second == first:
-            second = (second + 1) % (2 * submissions)
-        return cls(
-            seed=seed,
-            enospc_job_appends=(
-                (first,) if torn else tuple(sorted((first, second)))
-            ),
-            torn_job_appends=(second,) if torn else (),
-            duplicate_submissions=(rng.randrange(submissions),),
-        )
 
 
 def corrupt_binary_file(path: str, mode: str, seed: int = 0) -> None:
@@ -294,18 +218,10 @@ class ChaosEngine:
             "cache_corrupted": 0,
             "snapshots_corrupted": 0,
             "manifest_torn": 0,
-            "job_enospc": 0,
-            "job_torn": 0,
-            "submissions_duplicated": 0,
-            "renewals_dropped": 0,
-            "leases_stolen": 0,
         }
         self._append_index = 0
         self._retry_index = 0
         self._manifest_index = 0
-        self._job_append_index = 0
-        self._submission_index = 0
-        self._renewal_index = 0
 
     def _record(self, counter: str, event: str) -> None:
         self.counters[counter] += 1
@@ -390,68 +306,6 @@ class ChaosEngine:
             f"{os.path.basename(path)}",
         )
         return True
-
-    def job_append_fault(self) -> Optional[str]:
-        """Consume one job-store append attempt; the fault, if any.
-
-        The service-side sibling of :meth:`checkpoint_fault`: returns
-        ``"enospc"``, ``"torn"``, or ``None``, with ENOSPC winning a
-        double booking (the write never starts).
-        """
-        index = self._job_append_index
-        self._job_append_index += 1
-        if index in self.spec.enospc_job_appends:
-            self._record(
-                "job_enospc", f"job append {index}: injected ENOSPC"
-            )
-            return "enospc"
-        if index in self.spec.torn_job_appends:
-            self._record(
-                "job_torn", f"job append {index}: injected torn write"
-            )
-            return "torn"
-        return None
-
-    def duplicate_submission(self) -> bool:
-        """Consume one job submission; True when it should be replayed.
-
-        The HTTP front end submits the same payload a second time — a
-        client retrying a request whose response it never saw — and the
-        job store's idempotent dedup must return the existing job.
-        """
-        index = self._submission_index
-        self._submission_index += 1
-        if index in self.spec.duplicate_submissions:
-            self._record(
-                "submissions_duplicated",
-                f"submission {index}: replayed twice",
-            )
-            return True
-        return False
-
-    def lease_renewal_fault(self) -> Optional[str]:
-        """Consume one lease renewal; the fault to inject, if any.
-
-        ``"drop"`` simulates a worker that crashes between renewals
-        (the heartbeat stops; the lease must expire and the reaper must
-        re-enqueue the job); ``"steal"`` simulates the expired-lease
-        race (the lease is taken out from under the owner, whose next
-        renewal must fence with ``LeaseLostError``).
-        """
-        index = self._renewal_index
-        self._renewal_index += 1
-        if index in self.spec.drop_lease_renewals:
-            self._record(
-                "renewals_dropped",
-                f"renewal {index}: worker crash between renewals",
-            )
-            return "drop"
-        if index in self.spec.steal_lease_renewals:
-            self._record(
-                "leases_stolen", f"renewal {index}: lease force-expired"
-            )
-            return "steal"
-        return None
 
     def manifest_fault(self) -> bool:
         """Consume one manifest rewrite; True when it should tear."""

@@ -112,24 +112,20 @@ def encode_entry(entry: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def decode_entry(
-    line: str, key: str = "run_id"
-) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+def decode_entry(line: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     """Parse one checkpoint line; ``(entry, problem)``.
 
     ``problem`` is ``None`` for a valid line, else ``"json"`` (does not
     parse — a torn write), ``"crc"`` (parses but the embedded CRC32
     disagrees — bit rot), or ``"shape"`` (valid JSON that is not a
-    ``key``-keyed object).  Legacy lines without a ``crc32`` field are
-    accepted unverified.  ``key`` is the identity field the log is
-    keyed by: ``"run_id"`` for campaign checkpoints, ``"job_id"`` for
-    the service job store, which reuses this format.
+    ``run_id``-keyed object).  Legacy lines without a ``crc32`` field
+    are accepted unverified.
     """
     try:
         entry = json.loads(line)
     except json.JSONDecodeError:
         return None, "json"
-    if not isinstance(entry, dict) or key not in entry:
+    if not isinstance(entry, dict) or "run_id" not in entry:
         return None, "shape"
     stored = entry.pop("crc32", None)
     if stored is not None:
@@ -140,14 +136,13 @@ def decode_entry(
 
 
 def iter_checkpoint_lines(
-    path: str, key: str = "run_id"
+    path: str,
 ) -> Iterator[Tuple[int, str, Optional[Dict[str, Any]], Optional[str]]]:
     """Yield ``(line_number, line, entry, problem)`` for a checkpoint.
 
-    Shared by replay (:meth:`CheckpointStore.load`), the service job
-    store (``key="job_id"``), and the offline auditor, so all three
-    agree on exactly which lines count.  Blank lines are skipped;
-    ``line_number`` is 1-based.
+    Shared by replay (:meth:`CheckpointStore.load`) and the offline
+    auditor, so both agree on exactly which lines count.  Blank lines
+    are skipped; ``line_number`` is 1-based.
     """
     if not os.path.exists(path):
         return
@@ -156,7 +151,7 @@ def iter_checkpoint_lines(
             line = raw.strip()
             if not line:
                 continue
-            entry, problem = decode_entry(line, key=key)
+            entry, problem = decode_entry(line)
             yield number, line, entry, problem
 
 

@@ -306,337 +306,3 @@ class TestAuditCli:
         assert main(["audit", str(camp), "--strict"]) == 1
         out = capsys.readouterr().out
         assert "checkpoint.line.json" in out
-
-
-# -- service directories -----------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def service_dir_ref(tmp_path_factory):
-    """One real finished service job every test copies before tampering.
-
-    Built with the production machinery end to end: submit through the
-    store, claim with a real lease, run the campaign, record the
-    completion — so a clean copy passes the strict audit by construction.
-    """
-    from repro.service import JobStore, normalize_spec
-    from repro.service.http import build_campaign
-
-    directory = tmp_path_factory.mktemp("service") / "svc"
-    store = JobStore(str(directory))
-    spec = normalize_spec({
-        "workload": "health",
-        "machines": "base,stride",
-        "instructions": INSTRUCTIONS,
-        "warmup": WARMUP,
-        "isolation": "inline",
-    })
-    record, _ = store.submit(spec)
-    claimed, lease = store.claim("audit-fixture")
-    specs, runner_kwargs = build_campaign(spec)
-    CampaignRunner(store.run_dir(record.job_id), **runner_kwargs).run(specs)
-    with open(
-        os.path.join(store.run_dir(record.job_id), MANIFEST_NAME)
-    ) as handle:
-        manifest = json.load(handle)
-    store.complete(
-        claimed, lease, "done",
-        summary={
-            key: manifest.get(key)
-            for key in ("total_points", "ok", "failed", "poisoned")
-        },
-    )
-    return directory
-
-
-@pytest.fixture()
-def svc(service_dir_ref, tmp_path):
-    """A private tamperable copy of the reference service directory."""
-    import shutil
-
-    target = tmp_path / "svc"
-    shutil.copytree(service_dir_ref, target)
-    return target
-
-
-def _job_id(svc):
-    from repro.runner.checkpoint import iter_checkpoint_lines
-
-    for _, _, entry, problem in iter_checkpoint_lines(
-        str(svc / "jobs.jsonl"), key="job_id"
-    ):
-        if problem is None:
-            return entry["job_id"]
-    raise AssertionError("no job in fixture store")
-
-
-def _job_record(svc):
-    from repro.runner.checkpoint import iter_checkpoint_lines
-
-    records = {}
-    for _, _, entry, problem in iter_checkpoint_lines(
-        str(svc / "jobs.jsonl"), key="job_id"
-    ):
-        if problem is None:
-            records[entry["job_id"]] = entry
-    return records[_job_id(svc)]
-
-
-def _append_job(svc, entry):
-    with open(svc / "jobs.jsonl", "a") as handle:
-        handle.write(encode_entry(entry) + "\n")
-
-
-def _write_lease(svc, job_id, age=0.0, ttl=30.0, owner="w1"):
-    import time
-
-    lease_dir = svc / "leases"
-    lease_dir.mkdir(exist_ok=True)
-    now = time.time()
-    (lease_dir / f"{job_id}.lease").write_text(json.dumps({
-        "job_id": job_id,
-        "owner": owner,
-        "generation": 1,
-        "acquired_at": now - age,
-        "renewed_at": now - age,
-        "ttl": ttl,
-    }))
-
-
-class TestServiceClean:
-    def test_detection(self, svc, camp):
-        from repro.runner import is_service_dir
-
-        assert is_service_dir(str(svc))
-        assert not is_service_dir(str(camp))
-        assert not is_service_dir(str(svc / "nowhere"))
-
-    def test_clean_service_passes_strict(self, svc):
-        from repro.runner import audit_service
-
-        report = audit_service(str(svc))
-        assert report.ok
-        assert report.issues == []
-        assert report.stats["jobs"] == 1
-        assert report.stats["jobs_done"] == 1
-        assert report.stats["leases"] == 0
-        assert report.stats["job_runs_audited"] == 1
-
-    def test_missing_directory_is_an_error(self, tmp_path):
-        from repro.runner import audit_service
-
-        report = audit_service(str(tmp_path / "nowhere"))
-        assert _codes(report) == ["service.missing"]
-
-
-class TestJobStoreRules:
-    def test_torn_job_line_is_a_warning(self, svc):
-        from repro.runner import audit_service
-
-        with open(svc / "jobs.jsonl", "a") as handle:
-            handle.write('{"job_id": "torn", "sta')
-        report = audit_service(str(svc))
-        assert _codes(report) == ["jobs.line.json"]
-        assert report.stats["job_corrupt_lines"] == 1
-
-    def test_wholly_unreadable_log_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        (svc / "jobs.jsonl").write_text("garbage\nmore garbage\n")
-        report = audit_service(str(svc))
-        assert "jobs.unreadable" in _codes(report)
-        assert not report.ok
-
-    def test_unknown_state_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["state"] = "dancing"
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.state" in _codes(report)
-
-    def test_done_without_summary_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["summary"] = None
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.summary.missing" in _codes(report)
-
-    def test_failed_without_error_taxonomy_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["state"] = "failed"
-        record["error"] = {"kind": "", "message": ""}
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.error.missing" in _codes(report)
-
-    def test_terminal_job_with_owner_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["owner"] = "zombie-worker"
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.owner.terminal" in _codes(report)
-
-    def test_mixed_rev_entries_are_a_collision_error(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["rev"] = "0badc0de"
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.rev.collision" in _codes(report)
-        assert not report.ok
-
-    def test_legacy_entries_mixed_with_keyed_ones_collide(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record.pop("rev", None)
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.rev.collision" in _codes(report)
-
-    def test_forged_rev_keyed_id_is_an_error(self, svc):
-        from repro.service import job_id_of
-
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["spec"] = dict(record["spec"], seed=999)
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.id.mismatch" in _codes(report)
-        assert not report.ok
-
-    def test_legacy_spec_only_log_replays_clean(self, svc, tmp_path):
-        """A pre-revision-keying log (no rev fields anywhere) audits
-        with no rev collisions and only a migration warning at worst."""
-        from repro.service import job_id_of
-
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        spec = dict(record["spec"], seed=777)
-        legacy = {
-            "job_id": job_id_of(spec),  # legacy spec-only address
-            "state": "queued",
-            "spec": spec,
-            "submitted_at": 1.0,
-            "updated_at": 1.0,
-            "claims": 0,
-            "expiries": 0,
-        }
-        _append_job(svc, legacy)
-        report = audit_service(str(svc))
-        assert "job.rev.collision" not in _codes(report)
-        assert "job.id.mismatch" not in _codes(report)
-
-
-class TestLeaseRules:
-    def test_unparsable_lease_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        lease_dir = svc / "leases"
-        lease_dir.mkdir(exist_ok=True)
-        (lease_dir / "ghost.lease").write_text("{torn")
-        report = audit_service(str(svc))
-        assert "lease.unparsable" in _codes(report)
-
-    def test_lease_for_unknown_job_is_orphaned(self, svc):
-        from repro.runner import audit_service
-
-        _write_lease(svc, "no-such-job")
-        report = audit_service(str(svc))
-        assert "lease.orphaned" in _codes(report)
-
-    def test_lease_for_finished_job_is_orphaned(self, svc):
-        from repro.runner import audit_service
-
-        _write_lease(svc, _job_id(svc))
-        report = audit_service(str(svc))
-        assert "lease.orphaned" in _codes(report)
-
-    def test_expired_lease_on_running_job_is_a_warning(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["state"] = "running"
-        record["owner"] = "w1"
-        _append_job(svc, record)
-        _write_lease(svc, record["job_id"], age=120.0, ttl=30.0)
-        report = audit_service(str(svc))
-        assert "lease.expired" in _codes(report)
-        # An expired lease is recoverable damage, not a contradiction.
-        assert report.ok
-
-    def test_running_job_without_lease_is_a_warning(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["state"] = "running"
-        record["owner"] = "w1"
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.running.unleased" in _codes(report)
-        assert report.ok
-
-
-class TestJobRunRules:
-    def test_done_job_without_manifest_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        os.remove(svc / "runs" / _job_id(svc) / MANIFEST_NAME)
-        report = audit_service(str(svc))
-        assert "job.manifest.missing" in _codes(report)
-
-    def test_incomplete_manifest_on_done_job_is_an_error(self, svc):
-        from repro.runner import audit_service
-
-        path = svc / "runs" / _job_id(svc) / MANIFEST_NAME
-        manifest = json.loads(path.read_text())
-        manifest["status"] = "interrupted"
-        path.write_text(json.dumps(manifest))
-        report = audit_service(str(svc))
-        assert "job.manifest.status" in _codes(report)
-
-    def test_store_summary_must_agree_with_the_manifest(self, svc):
-        from repro.runner import audit_service
-
-        record = _job_record(svc)
-        record["summary"] = dict(record["summary"], ok=99)
-        _append_job(svc, record)
-        report = audit_service(str(svc))
-        assert "job.manifest.disagrees" in _codes(report)
-
-    def test_run_dir_issues_surface_with_the_job_prefix(self, svc):
-        from repro.runner import audit_service
-
-        job_id = _job_id(svc)
-        with open(svc / "runs" / job_id / CHECKPOINT_NAME, "a") as handle:
-            handle.write('{"torn')
-        report = audit_service(str(svc))
-        torn = [
-            issue for issue in report.issues
-            if issue.code == "checkpoint.line.json"
-        ]
-        assert torn and f"job {job_id!r}:" in torn[0].message
-
-
-class TestServiceLitter:
-    def test_orphaned_tmp_files_are_warnings(self, svc):
-        (svc / "jobs.jsonl.tmp.123").write_text("{half")
-        leases = svc / "leases"
-        leases.mkdir(exist_ok=True)
-        (leases / "x.lease.tmp.9").write_text("{half")
-        from repro.runner import audit_service
-
-        report = audit_service(str(svc))
-        assert _codes(report) == ["service.tmp", "service.tmp"]
-        assert report.stats["service_tmp_files"] == 2

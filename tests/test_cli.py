@@ -160,34 +160,3 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_command_workloads", interrupted)
         assert main(["workloads"]) == 130
         assert "interrupted" in capsys.readouterr().err
-
-
-class TestServiceCommands:
-    def test_service_commands_are_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        out = capsys.readouterr().out
-        for command in ("serve", "submit", "jobs", "audit"):
-            assert command in out
-
-    def test_audit_autodetects_a_service_dir(self, tmp_path, capsys):
-        from repro.service import JobStore, normalize_spec
-
-        store = JobStore(str(tmp_path / "svc"))
-        store.submit(normalize_spec({"workload": "health"}))
-        assert main(["audit", str(tmp_path / "svc")]) == 0
-        out = capsys.readouterr().out
-        assert "jobs_queued: 1" in out
-
-    def test_submit_against_unreachable_server_exits_one(self, capsys):
-        code = main([
-            "submit", "health",
-            "--server", "http://127.0.0.1:1",  # reserved port: refused
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err.lower()
-
-    def test_jobs_against_unreachable_server_exits_one(self, capsys):
-        code = main(["jobs", "--server", "http://127.0.0.1:1"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err.lower()

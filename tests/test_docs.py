@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -91,6 +92,21 @@ class TestCheckDocs:
             "x.md", "```python\ndef broken(:\n```", problems
         )
         assert problems
+
+
+    def test_running_md_command_table_matches_cli(self):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        text = open(os.path.join(REPO_ROOT, "docs", "running.md")).read()
+        section = text.split("## The CLI", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `([\w-]+)` \|", section, re.M))
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert documented == set(subparsers.choices)
 
 
 class TestCheckDocstrings:
