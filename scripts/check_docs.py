@@ -177,9 +177,9 @@ def _clamped(argv):
         # simulates in comparison mode, where the flag exists too.
         argv = argv + ["--instructions", RUN_INSTRUCTIONS]
     if (argv and argv[0] == "sweep" and "--no-isolate" not in argv
-            and "--timeout" not in argv and "--workers" not in argv):
-        # Inline execution is much faster; --timeout and --workers
-        # both require process isolation.
+            and not {"--timeout", "--workers", "--chaos-seed"} & set(argv)):
+        # Inline execution is much faster; --timeout, --workers and
+        # --chaos-seed all require process isolation.
         argv = argv + ["--no-isolate"]
     return argv
 

@@ -288,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="points to run in parallel across persistent worker "
-             "processes (default: 1, the serial schedule; requires "
-             "process isolation)",
+             "processes (default: 1; above 1 requires process "
+             "isolation)",
     )
     sweep.add_argument(
         "--progress", action="store_true",
@@ -314,9 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--no-isolate", action="store_true",
-        help="run points in-process instead of per-run subprocesses "
-             "(faster, but a crash aborts the campaign and --timeout "
-             "is unavailable)",
+        help="run points in-process instead of in persistent worker "
+             "processes (faster, but a crash aborts the campaign and "
+             "--timeout, --workers 2+ and --chaos-seed are unavailable)",
     )
     sweep.add_argument(
         "--snapshot-every", type=int, default=None, metavar="CYCLES",
@@ -343,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=None, metavar="SEED",
         help="inject a deterministic, seeded schedule of environment "
              "faults (failing checkpoint appends, worker kills, cache "
-             "corruption) for durability testing; requires --workers 2+",
+             "corruption) for durability testing; requires process "
+             "isolation",
     )
     sweep.add_argument(
         "--chaos-poison", type=int, default=0, metavar="N",

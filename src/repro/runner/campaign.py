@@ -9,45 +9,44 @@ failure-handling machinery that a long unattended sweep needs:
   ``concurrent.futures.ProcessPoolExecutor(max_workers=1)``), so a
   crashed or wedged simulation cannot take down the campaign, and a
   timed-out worker can be killed without disturbing its siblings.
-- **Parallel execution** — ``workers=N`` keeps up to N points in flight
-  at once across N slots, completing them out of order.  ``workers=1``
-  runs the exact serial schedule (bit-identical results, checkpoint,
-  and manifest to previous releases); ``workers=N`` produces the same
-  per-point results and an equivalent checkpoint/manifest, differing
-  only in completion order (the in-memory campaign and the manifest are
-  re-ordered back to spec order before being returned/written).
+- **One schedule for every worker count** — ``workers=N`` keeps up to
+  N points in flight across N slots, completing them out of order;
+  ``workers=1`` is the same scheduler with one slot.  Per-point results
+  and the manifest do not depend on N (the in-memory campaign and the
+  manifest are re-ordered back to spec order before being
+  returned/written); only the checkpoint append order may differ.
 - **Timeouts** — a wall-clock budget per attempt
-  (:class:`~repro.errors.RunTimeoutError` when exceeded).  Under
-  parallel execution the budget is tracked as a *deadline* per in-flight
-  attempt — the scheduler never blocks in ``future.result(timeout=...)``
-  — and an expired attempt's worker is killed in a targeted way.
+  (:class:`~repro.errors.RunTimeoutError` when exceeded), tracked as a
+  *deadline* per in-flight attempt — the scheduler never blocks in
+  ``future.result(timeout=...)`` — and an expired attempt's worker is
+  killed in a targeted way.
 - **Bounded retry with exponential backoff** — only errors whose class
   is marked ``retryable`` in the taxonomy are retried; a
   :class:`~repro.errors.ConfigError` or
   :class:`~repro.errors.TraceFormatError` is determinate and fails the
-  point immediately.  Under parallel execution a backoff never blocks
-  the pool: the retry is *rescheduled* with an eligibility deadline and
-  other points run in the meantime.
+  point immediately.  A backoff never blocks the worker slots: the
+  retry is *rescheduled* with an eligibility deadline and other points
+  run in the meantime (an inline point sleeps its backoff out).
 - **Checkpointing** — every terminal outcome is appended to
   ``checkpoint.jsonl`` in the campaign directory; ``resume=True`` skips
   points already recorded there (matching both ``run_id`` and spec
   fingerprint) and reloads their results, so an interrupted campaign
-  finishes with results identical to an uninterrupted one.  Parallel
-  campaigns append in completion order; resume is keyed by ``run_id``,
-  so out-of-order checkpoints replay exactly the same way.
+  finishes with results identical to an uninterrupted one.  Points
+  are appended in completion order; resume is keyed by ``run_id``, so
+  out-of-order checkpoints replay exactly the same way.
 - **Degradation policy** — ``on_error="skip"`` records the failure and
   moves on (the unattended default); ``on_error="fail"`` re-raises after
-  recording (fail-fast, the legacy in-process sweep behaviour).  A
-  parallel fail-fast kills the outstanding workers, drains the
-  scheduler, and writes the failed manifest before re-raising.
+  recording (fail-fast, the legacy in-process sweep behaviour).
+  Fail-fast kills the outstanding workers, drains the scheduler, and
+  writes the failed manifest before re-raising.
 - **Worker watchdog** — a worker that dies *without raising* (kill -9,
   OOM, segfault) is respawned and its point relaunched with bounded
   backoff, on a kill budget separate from the retry budget; after
   ``max_worker_kills`` deaths the point is finalised as **poisoned**
   (a distinct terminal state in the checkpoint, manifest, and
   progress) and the campaign continues.  If deaths keep coming with no
-  completion in between, the driver falls back to inline execution —
-  slower, but the campaign finishes.
+  completion in between, the scheduler falls back to inline execution
+  — slower, but the campaign finishes.
 - **Chaos** — an optional :class:`~repro.runner.chaos.ChaosSpec`
   injects deterministic environment faults (failing checkpoint
   appends, worker kills, cache/snapshot corruption, torn manifest
@@ -62,7 +61,8 @@ a :class:`WorkloadSpec` (regenerate from the registry), a
 :class:`TraceFileSpec` (reload from disk), or a picklable zero-argument
 callable.  Unpicklable callables (lambdas/closures, as used by the
 legacy ``run_configs`` API) automatically fall back to inline execution
-for that point.
+for that point.  ``isolation="inline"`` runs every point that way:
+synchronously, in spec order, with no worker slot and no spec pickled.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -116,9 +115,12 @@ from repro.trace.record import TraceRecord
 if TYPE_CHECKING:  # runtime import is lazy: repro.sim.sweep imports us back
     from repro.sim.results import SimulationResult
 
-#: Upper bound on how long the parallel driver blocks in ``wait`` before
+#: Upper bound on how long the scheduler blocks in ``wait`` before
 #: re-checking for a requested stop (a handled signal).
 _STOP_POLL_INTERVAL = 0.5
+
+#: Cap on one retry (or worker-respawn) backoff, in seconds.
+_BACKOFF_MAX = 30.0
 
 
 @dataclass(frozen=True)
@@ -434,7 +436,6 @@ class CampaignRunner:
         timeout: Optional[float] = None,
         retries: int = 0,
         backoff_base: float = 0.5,
-        backoff_max: float = 30.0,
         on_error: str = "skip",
         isolation: str = "process",
         resume: bool = False,
@@ -444,7 +445,6 @@ class CampaignRunner:
         progress: Optional[Any] = None,
         chaos: Optional[ChaosSpec] = None,
         max_worker_kills: int = 3,
-        inline_fallback_after: Optional[int] = None,
         handle_signals: bool = False,
     ) -> None:
         if workers < 1:
@@ -508,20 +508,14 @@ class CampaignRunner:
                 "CampaignRunner.max_worker_kills: must be >= 1",
                 field="CampaignRunner.max_worker_kills",
             )
-        if inline_fallback_after is not None and inline_fallback_after < 1:
-            raise ConfigError(
-                "CampaignRunner.inline_fallback_after: must be >= 1",
-                field="CampaignRunner.inline_fallback_after",
-            )
         if (
             chaos is not None
             and (chaos.kill_points or chaos.poison_points)
-            and workers < 2
+            and isolation != "process"
         ):
             raise ConfigError(
                 "CampaignRunner.chaos: kill_points/poison_points need "
-                "workers >= 2 (only the parallel driver owns worker "
-                "slots to kill)",
+                "process isolation (inline points have no worker to kill)",
                 field="CampaignRunner.chaos",
             )
         self.campaign_dir = campaign_dir
@@ -530,19 +524,11 @@ class CampaignRunner:
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self.on_error = on_error
         self.isolation = isolation
         self.resume = resume
         self.chaos = chaos
         self.max_worker_kills = max_worker_kills
-        #: Consecutive worker deaths (across points) before the driver
-        #: stops trusting the pool and runs the rest inline.
-        self.inline_fallback_after = (
-            inline_fallback_after
-            if inline_fallback_after is not None
-            else 2 * workers + 2
-        )
         #: Install SIGTERM/SIGINT handlers around :meth:`run` (main
         #: thread only) that request a graceful stop instead of letting
         #: the default disposition kill the process mid-append.
@@ -559,13 +545,13 @@ class CampaignRunner:
         """Ask a running campaign to stop at the next safe boundary.
 
         Safe to call from a signal handler or an ``on_outcome``
-        callback.  The serial driver stops before launching the next
-        point (the in-flight attempt finishes and is checkpointed); the
-        parallel driver stops launching and kills its outstanding workers
-        (their un-checkpointed points re-run on resume).  Either way
-        the runner flushes pending checkpoint appends and writes a
-        resumable manifest with status ``"interrupted"`` before
-        :meth:`run` returns — nothing recorded is lost, nothing torn.
+        callback.  The scheduler stops launching points: an in-flight
+        inline point finishes and is checkpointed, while in-flight
+        workers are killed (their un-checkpointed points re-run on
+        resume).  Either way the runner flushes pending checkpoint
+        appends and writes a resumable manifest with status
+        ``"interrupted"`` before :meth:`run` returns — nothing recorded
+        is lost, nothing torn.
         """
         self._stop_requested = True
 
@@ -574,58 +560,7 @@ class CampaignRunner:
         """True once :meth:`request_stop` (or a handled signal) fired."""
         return self._stop_requested
 
-    # -- single-attempt execution -------------------------------------
-
-    def _attempt_in_subprocess(
-        self, spec: RunSpec, attempt: int, snapshot_path: Optional[str]
-    ) -> SimulationResult:
-        executor = ProcessPoolExecutor(max_workers=1)
-        try:
-            future = executor.submit(
-                execute_spec, spec, attempt, self.snapshot_every, snapshot_path
-            )
-            try:
-                return future.result(timeout=self.timeout)
-            except FuturesTimeoutError:
-                self._kill_workers(executor)
-                raise RunTimeoutError(
-                    f"run {spec.run_id!r} exceeded {self.timeout:g}s "
-                    f"(attempt {attempt + 1})"
-                ) from None
-            except BrokenProcessPool as error:
-                raise SimulationError(
-                    f"run {spec.run_id!r}: worker process died "
-                    f"(attempt {attempt + 1}): {error}"
-                ) from error
-            except KeyboardInterrupt:
-                self._kill_workers(executor)
-                raise
-        finally:
-            # Workers are idle (attempt finished) or just killed, so a
-            # synchronous shutdown is immediate — and it lets the pool's
-            # management thread exit cleanly instead of tripping over
-            # closed pipes in the interpreter's atexit hooks.
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    @staticmethod
-    def _kill_workers(executor: ProcessPoolExecutor) -> None:
-        for process in list((executor._processes or {}).values()):
-            process.kill()
-
-    def _attempt(
-        self,
-        spec: RunSpec,
-        attempt: int,
-        snapshot_path: Optional[str] = None,
-        force_inline: bool = False,
-    ) -> SimulationResult:
-        if (
-            not force_inline
-            and self.isolation == "process"
-            and _is_picklable(spec)
-        ):
-            return self._attempt_in_subprocess(spec, attempt, snapshot_path)
-        return execute_spec(spec, attempt, self.snapshot_every, snapshot_path)
+    # -- single-point execution ---------------------------------------
 
     def _snapshot_path(self, spec: RunSpec) -> Optional[str]:
         """Where this spec's within-run snapshot lives, if enabled."""
@@ -635,9 +570,13 @@ class CampaignRunner:
             self.campaign_dir, "snapshots", spec.fingerprint() + ".snap"
         )
 
-    # -- retry loop ----------------------------------------------------
+    def _backoff(self, failures: int) -> float:
+        """Backoff before relaunching a point that failed ``failures + 1``
+        times: ``backoff_base * 2**failures``, capped at 30 s."""
+        return min(_BACKOFF_MAX, self.backoff_base * (2.0 ** failures))
 
-    def _run_spec(self, spec: RunSpec, force_inline: bool = False) -> RunOutcome:
+    def _run_spec(self, spec: RunSpec) -> RunOutcome:
+        """Run one point inline: its whole retry loop, in this process."""
         start = time.monotonic()
         last_error: Optional[ReproError] = None
         attempts = 0
@@ -645,8 +584,8 @@ class CampaignRunner:
         for attempt in range(self.retries + 1):
             attempts = attempt + 1
             try:
-                result = self._attempt(
-                    spec, attempt, snapshot_path, force_inline=force_inline
+                result = execute_spec(
+                    spec, attempt, self.snapshot_every, snapshot_path
                 )
                 self._discard_snapshot(snapshot_path)
                 return RunOutcome(
@@ -656,14 +595,11 @@ class CampaignRunner:
                     result=result,
                     elapsed_seconds=time.monotonic() - start,
                 )
-            except KeyboardInterrupt:
-                raise
             except ReproError as error:
                 last_error = error
             except Exception as error:
-                # A worker can surface arbitrary pickled exceptions
-                # (e.g. the trace source itself raising before simulate
-                # classifies anything): treat as a simulation failure.
+                # The trace source itself can raise before simulate
+                # classifies anything: treat as a simulation failure.
                 last_error = SimulationError(
                     f"run {spec.run_id!r} raised "
                     f"{type(error).__name__}: {error}"
@@ -672,9 +608,7 @@ class CampaignRunner:
                 break
             if self._chaos_engine is not None and snapshot_path is not None:
                 self._chaos_engine.maybe_corrupt_snapshot(snapshot_path)
-            self._sleep(
-                min(self.backoff_max, self.backoff_base * (2.0 ** attempt))
-            )
+            self._sleep(self._backoff(attempt))
         assert last_error is not None
         self._discard_snapshot(snapshot_path)
         return RunOutcome(
@@ -744,10 +678,15 @@ class CampaignRunner:
     def run_one(self, spec: RunSpec) -> SimulationResult:
         """Execute a single point outside any campaign bookkeeping.
 
-        Applies isolation/timeout/retry but no checkpointing, and always
-        raises on failure (so callers keep plain function semantics).
+        The point takes :meth:`run`'s schedule (isolation, timeout,
+        retry, watchdog), but nothing is checkpointed or reported, and
+        a failure always raises (so callers keep plain function
+        semantics).
         """
-        outcome = self._run_spec(spec)
+        self._stop_requested = False
+        campaign = CampaignResult()
+        _Scheduler(self, campaign).drive([spec])
+        outcome = campaign.outcomes[spec.run_id]
         if outcome.ok:
             assert outcome.result is not None
             return outcome.result
@@ -810,14 +749,9 @@ class CampaignRunner:
                 except (OSError, ValueError):  # pragma: no cover
                     continue
         try:
-            if self.workers == 1:
-                status, pending_error = self._drive_serial(
-                    specs, prior, store, campaign
-                )
-            else:
-                status, pending_error = self._drive_parallel(
-                    specs, prior, store, campaign
-                )
+            status, pending_error = _Scheduler(
+                self, campaign, store, self._progress, self._on_outcome
+            ).drive(specs, prior)
         except KeyboardInterrupt:
             self._order_campaign(campaign, specs)
             if store is not None:
@@ -844,78 +778,11 @@ class CampaignRunner:
             raise pending_error
         return campaign
 
-    # -- serial schedule (workers=1) -----------------------------------
-
-    def _drive_serial(
-        self,
-        specs: Sequence[RunSpec],
-        prior: Dict[str, Dict[str, Any]],
-        store: Optional[CheckpointStore],
-        campaign: CampaignResult,
-    ) -> "Tuple[str, Optional[ReproError]]":
-        """The historical one-point-at-a-time schedule."""
-        for spec in specs:
-            if self._stop_requested:
-                return "interrupted", None
-            fingerprint = spec.fingerprint()
-            entry = prior.get(spec.run_id)
-            if entry is not None and entry.get("fingerprint") == fingerprint:
-                outcome = self._outcome_of(entry)
-                campaign.resumed.append(spec.run_id)
-            else:
-                if self._progress is not None:
-                    self._progress.point_started(spec.run_id)
-                outcome = self._run_spec(spec)
-                if store is not None:
-                    store.append(self._entry_of(outcome, fingerprint))
-            self._record(campaign, outcome)
-            if self._progress is not None:
-                self._progress.point_finished(outcome)
-            # The terminal callback fires for *every* terminal outcome —
-            # including the failing one under on_error="fail", which
-            # historically broke out of the loop before notifying.
-            if self._on_outcome is not None:
-                self._on_outcome(outcome)
-            if not outcome.ok and self.on_error == "fail":
-                return "failed", self._failure_error(outcome)
-        return "complete", None
-
-    # -- parallel schedule (workers>1) ---------------------------------
-
-    def _drive_parallel(
-        self,
-        specs: Sequence[RunSpec],
-        prior: Dict[str, Dict[str, Any]],
-        store: Optional[CheckpointStore],
-        campaign: CampaignResult,
-    ) -> "Tuple[str, Optional[ReproError]]":
-        """Fan the campaign out across persistent worker slots."""
-        queue: List[Tuple[int, RunSpec, str]] = []
-        for index, spec in enumerate(specs):
-            fingerprint = spec.fingerprint()
-            entry = prior.get(spec.run_id)
-            if entry is not None and entry.get("fingerprint") == fingerprint:
-                outcome = self._outcome_of(entry)
-                campaign.resumed.append(spec.run_id)
-                self._record(campaign, outcome)
-                if self._progress is not None:
-                    self._progress.point_finished(outcome)
-                if self._on_outcome is not None:
-                    self._on_outcome(outcome)
-                if not outcome.ok and self.on_error == "fail":
-                    return "failed", self._failure_error(outcome)
-            else:
-                queue.append((index, spec, fingerprint))
-        warmed = self._prewarm_caches([spec for _, spec, _ in queue])
-        if self._chaos_engine is not None:
-            self._chaos_engine.corrupt_cache_entries(warmed)
-        driver = _ParallelDriver(self, queue, store, campaign)
-        return driver.drive()
-
     def _prewarm_caches(self, specs: Sequence[RunSpec]) -> List[str]:
         """Compile each unique workload-trace prefix once, pre-fork.
 
-        Without this every worker that first touches a given
+        Only points that cross a process boundary are warmed.  Without
+        this every worker that first touches a given
         ``(workload, seed, length)`` would regenerate — and race to
         compile — the same prefix; warmed in the parent, the workers
         all mmap one shared compiled trace.  The cache stays an
@@ -958,10 +825,10 @@ class CampaignRunner:
     ) -> None:
         """Re-order the campaign's views into spec order.
 
-        Parallel completion is out of order; re-keying by the spec list
-        makes the returned campaign (and the manifest derived from it)
-        independent of scheduling, so ``workers=N`` output is directly
-        comparable to ``workers=1``.
+        Completion is out of order (backoffs, ``workers>1``); re-keying
+        by the spec list makes the returned campaign (and the manifest
+        derived from it) independent of scheduling, so ``workers=N``
+        output is directly comparable to ``workers=1``.
         """
         order = [spec.run_id for spec in specs]
         campaign.results = {
@@ -1092,7 +959,7 @@ class CampaignRunner:
 
 
 class _WorkerSlot:
-    """One persistent single-process worker of the parallel pool.
+    """One persistent single-process worker of the scheduler.
 
     Each slot owns its own ``ProcessPoolExecutor(max_workers=1)``.
     Killing a worker of a *shared* N-process pool marks the whole pool
@@ -1103,31 +970,31 @@ class _WorkerSlot:
     the whole campaign instead of paying them per attempt.
     """
 
-    __slots__ = ("index", "executor")
+    __slots__ = ("executor",)
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.executor = ProcessPoolExecutor(max_workers=1)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
         return self.executor.submit(fn, *args)
 
-    def kill(self) -> None:
-        """Kill the worker process and respawn a fresh one.
+    def kill_worker(self) -> None:
+        """SIGKILL the worker process; its future breaks."""
+        for process in list((self.executor._processes or {}).values()):
+            process.kill()
+
+    def respawn(self) -> None:
+        """Kill the worker process and start a fresh one.
 
         Used for deadline expiry (the worker is wedged or over budget)
         and for crash recovery (the pool is broken either way).
         """
-        CampaignRunner._kill_workers(self.executor)
-        self.executor.shutdown(wait=True, cancel_futures=True)
+        self.shutdown()
         self.executor = ProcessPoolExecutor(max_workers=1)
-
-    # A broken pool is discarded exactly like a killed one.
-    reset = kill
 
     def shutdown(self) -> None:
         """Tear the slot down for good (kills a still-busy worker)."""
-        CampaignRunner._kill_workers(self.executor)
+        self.kill_worker()
         self.executor.shutdown(wait=True, cancel_futures=True)
 
 
@@ -1141,6 +1008,9 @@ class _PointState:
     #: Position of the spec in the campaign's spec list (scheduling-
     #: independent, which is what keys chaos worker kills).
     index: int = 0
+    #: True when attempts run in a worker slot (process isolation and
+    #: a picklable spec); False runs the point inline.
+    isolated: bool = False
     #: 0-based index of the next attempt to launch.
     attempt: int = 0
     #: Monotonic time of the first launch (None until then).
@@ -1151,71 +1021,100 @@ class _PointState:
     worker_kills: int = 0
 
 
-class _ParallelDriver:
-    """The ``workers>1`` campaign schedule.
+#: future -> (point, slot, deadline | None) of every in-flight attempt.
+_Running = Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]]
 
-    Keeps up to N points in flight across N :class:`_WorkerSlot`\\ s and
-    reproduces the serial runner's per-point semantics exactly:
 
-    - **Timeouts** are *deadlines* recorded at submission.  The driver
-      never blocks in ``future.result(timeout=...)``; it waits with
-      ``concurrent.futures.wait`` bounded by the earliest deadline (or
-      retry-eligibility time) and kills only the expired slot.
-    - **Backoff** never blocks the pool: a retryable failure pushes the
+class _Scheduler:
+    """The campaign schedule, for every worker count.
+
+    Replays resumed checkpoint entries, then keeps up to
+    ``runner.workers`` points in flight across :class:`_WorkerSlot`\\ s:
+
+    - **Timeouts** are *deadlines* recorded at submission.  The
+      scheduler never blocks in ``future.result(timeout=...)``; it waits
+      with ``concurrent.futures.wait`` bounded by the earliest deadline
+      (or retry-eligibility time) and kills only the expired slot.
+    - **Backoff** never blocks the slots: a retryable failure pushes the
       point onto a min-heap keyed by its eligibility time, and the slot
-      immediately takes other work.  The backoff schedule — ``min(max,
-      base * 2**attempt)`` — is the serial one.  Only when *nothing* is
-      running does the driver actually sleep (through the runner's
+      immediately takes other work.  The backoff schedule is
+      ``min(30 s, backoff_base * 2**attempt)``.  Only when *nothing* is
+      running does the scheduler actually sleep (through the runner's
       injectable ``sleep``, so tests with a no-op sleep make progress
       instead of spinning).
     - **Fail-fast** (``on_error="fail"``) finalises the failing point
       (checkpoint, record, callbacks), then stops scheduling; the
       ``finally`` teardown kills the outstanding workers and drains
       their executors before the failed manifest is written.
-    - **Unpicklable specs** (legacy lambda traces) cannot cross the
-      process boundary; they run synchronously in the driver through
-      the serial retry loop, exactly as ``workers=1`` would.
+    - **Inline points** — every point under ``isolation="inline"``, an
+      unpicklable spec (legacy lambda traces), or every point after the
+      watchdog's inline fallback — run synchronously through
+      :meth:`CampaignRunner._run_spec`, the whole retry loop blocking
+      the scheduler.  An all-inline campaign creates no slot, pickles no
+      spec, pre-warms no cache, and checkpoints in spec order.
 
     Checkpoint entries are appended in completion order; resume is
-    keyed by ``run_id``, so the out-of-order file replays identically.
+    keyed by ``run_id``, so an out-of-order file replays identically.
     """
 
     def __init__(
         self,
         runner: CampaignRunner,
-        queue: List[Tuple[int, RunSpec, str]],
-        store: Optional[CheckpointStore],
         campaign: CampaignResult,
+        store: Optional[CheckpointStore] = None,
+        progress: Optional[Any] = None,
+        on_outcome: Optional[Callable[[RunOutcome], None]] = None,
     ) -> None:
         self.runner = runner
-        self.store = store
         self.campaign = campaign
-        self.ready: List[_PointState] = [
-            _PointState(
-                spec, fingerprint, runner._snapshot_path(spec), index=index
-            )
-            for index, spec, fingerprint in queue
-        ]
+        self.store = store
+        self.progress = progress
+        self.on_outcome = on_outcome
+        self.ready: List[_PointState] = []
         #: ``(eligible_time, seq, point)`` min-heap of backing-off retries.
         self.waiting: List[Tuple[float, int, _PointState]] = []
         self._seq = itertools.count()
         self.status = "complete"
         self.pending_error: Optional[ReproError] = None
         #: Worker deaths with no successful completion in between; at
-        #: ``runner.inline_fallback_after`` the pool is declared
-        #: unsalvageable and the rest of the campaign runs inline.
+        #: ``2 * workers + 2`` the pool is declared unsalvageable and the
+        #: rest of the campaign runs inline.
         self.consecutive_deaths = 0
-        self.inline_mode = False
+        self.inline_mode = runner.isolation == "inline"
 
-    def drive(self) -> Tuple[str, Optional[ReproError]]:
+    def drive(
+        self,
+        specs: Sequence[RunSpec],
+        prior: Optional[Dict[str, Dict[str, Any]]] = None,
+    ) -> Tuple[str, Optional[ReproError]]:
+        """Run ``specs``, replaying the ``prior`` checkpoint entries."""
         runner = self.runner
+        prior = prior or {}
+        for index, spec in enumerate(specs):
+            fingerprint = spec.fingerprint()
+            entry = prior.get(spec.run_id)
+            if entry is not None and entry.get("fingerprint") == fingerprint:
+                self.campaign.resumed.append(spec.run_id)
+                if self._finalize(runner._outcome_of(entry), None):
+                    return self.status, self.pending_error
+                continue
+            self.ready.append(
+                _PointState(
+                    spec, fingerprint, runner._snapshot_path(spec),
+                    index=index,
+                    isolated=not self.inline_mode and _is_picklable(spec),
+                )
+            )
+        isolated = [point.spec for point in self.ready if point.isolated]
+        if isolated:
+            warmed = runner._prewarm_caches(isolated)
+            if runner._chaos_engine is not None:
+                runner._chaos_engine.corrupt_cache_entries(warmed)
         slots = [
-            _WorkerSlot(i)
-            for i in range(min(runner.workers, len(self.ready)))
+            _WorkerSlot() for _ in range(min(runner.workers, len(isolated)))
         ]
         idle = list(slots)
-        #: future -> (point, slot, deadline | None)
-        running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]] = {}
+        running: _Running = {}
         try:
             while self.ready or self.waiting or running:
                 if runner._stop_requested:
@@ -1228,21 +1127,21 @@ class _ParallelDriver:
                 now = time.monotonic()
                 while self.waiting and self.waiting[0][0] <= now:
                     self.ready.append(heapq.heappop(self.waiting)[2])
-                while idle and self.ready:
+                if self.ready and (
+                    idle or self.inline_mode or not self.ready[0].isolated
+                ):
                     if self._launch(self.ready.pop(0), idle, running):
                         return self.status, self.pending_error
+                    continue
                 if not running:
-                    if not (self.ready or self.waiting):
-                        break
-                    if not self.ready:
-                        # Everything is backing off.  Sleep out the head
-                        # delay, then launch it unconditionally — the
-                        # sleep is injectable and may be a no-op.
-                        eligible, _, point = heapq.heappop(self.waiting)
-                        delay = max(0.0, eligible - time.monotonic())
-                        if delay:
-                            runner._sleep(delay)
-                        self.ready.append(point)
+                    # Everything is backing off.  Sleep out the head
+                    # delay, then launch it unconditionally — the sleep
+                    # is injectable and may be a no-op.
+                    eligible, _, point = heapq.heappop(self.waiting)
+                    delay = max(0.0, eligible - time.monotonic())
+                    if delay:
+                        runner._sleep(delay)
+                    self.ready.append(point)
                     continue
                 done, _ = futures_wait(
                     running,
@@ -1255,7 +1154,7 @@ class _ParallelDriver:
                         continue
                     if deadline is not None and deadline <= now:
                         del running[future]
-                        slot.kill()
+                        slot.respawn()
                         idle.append(slot)
                         error = RunTimeoutError(
                             f"run {point.spec.run_id!r} exceeded "
@@ -1275,26 +1174,20 @@ class _ParallelDriver:
     # -- scheduling steps ----------------------------------------------
 
     def _launch(
-        self,
-        point: _PointState,
-        idle: List[_WorkerSlot],
-        running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]],
+        self, point: _PointState, idle: List[_WorkerSlot], running: _Running
     ) -> bool:
         """Dispatch one attempt; True when fail-fast stops the campaign."""
         runner = self.runner
         spec = point.spec
         if point.start is None:
             point.start = time.monotonic()
-            if runner._progress is not None:
-                runner._progress.point_started(spec.run_id)
-        if self.inline_mode or not _is_picklable(spec):
-            # Either the spec cannot cross the process boundary, or the
-            # pool has proven it cannot stay alive: run the point's
-            # whole serial retry loop inline, blocking the driver.
-            # Inline fallback trades parallelism (and timeouts) for
-            # forward progress — slower beats stuck.
-            outcome = runner._run_spec(spec, force_inline=self.inline_mode)
-            return self._finalize(outcome, point.fingerprint)
+            if self.progress is not None:
+                self.progress.point_started(spec.run_id)
+        if self.inline_mode or not point.isolated:
+            # The whole retry loop runs here, blocking the scheduler.
+            # As the watchdog's fallback this trades parallelism (and
+            # timeouts) for forward progress — slower beats stuck.
+            return self._finalize(runner._run_spec(spec), point.fingerprint)
         slot = idle.pop()
         deadline = (
             None if runner.timeout is None
@@ -1305,10 +1198,10 @@ class _ParallelDriver:
             runner.snapshot_every, point.snapshot_path,
         )
         running[future] = (point, slot, deadline)
-        if runner._chaos_engine is not None and runner._chaos_engine.kill_attempt(
+        if runner._chaos_engine is not None and runner._chaos_engine.kill_launch(
             point.index, point.worker_kills
         ):
-            CampaignRunner._kill_workers(slot.executor)
+            slot.kill_worker()
         return False
 
     def _complete(
@@ -1319,20 +1212,17 @@ class _ParallelDriver:
         idle: List[_WorkerSlot],
     ) -> bool:
         """Absorb one finished future; True when fail-fast stops."""
-        runner = self.runner
         spec = point.spec
         now = time.monotonic()
         error: Optional[ReproError] = None
         died: Optional[BrokenProcessPool] = None
         try:
             result = future.result()
-        except KeyboardInterrupt:
-            raise
         except BrokenProcessPool as broken:
             # The worker vanished without raising (kill -9, OOM,
             # segfault).  Respawn the slot; the watchdog decides below
             # whether the *point* gets another launch.
-            slot.reset()
+            slot.respawn()
             died = broken
         except ReproError as raised:
             error = raised
@@ -1349,7 +1239,7 @@ class _ParallelDriver:
         self.consecutive_deaths = 0
         if error is not None:
             return self._attempt_failed(point, error, now)
-        runner._discard_snapshot(point.snapshot_path)
+        self.runner._discard_snapshot(point.snapshot_path)
         assert point.start is not None
         outcome = RunOutcome(
             run_id=spec.run_id,
@@ -1377,13 +1267,10 @@ class _ParallelDriver:
         runner = self.runner
         point.worker_kills += 1
         self.consecutive_deaths += 1
-        if self.consecutive_deaths >= runner.inline_fallback_after:
+        if self.consecutive_deaths >= 2 * runner.workers + 2:
             self.inline_mode = True
         if point.worker_kills < runner.max_worker_kills:
-            delay = min(
-                runner.backoff_max,
-                runner.backoff_base * (2.0 ** (point.worker_kills - 1)),
-            )
+            delay = runner._backoff(point.worker_kills - 1)
             heapq.heappush(
                 self.waiting, (now + delay, next(self._seq), point)
             )
@@ -1411,10 +1298,7 @@ class _ParallelDriver:
         """Retry or finalise a failed attempt; True when fail-fast stops."""
         runner = self.runner
         if error.retryable and point.attempt < runner.retries:
-            delay = min(
-                runner.backoff_max,
-                runner.backoff_base * (2.0 ** point.attempt),
-            )
+            delay = runner._backoff(point.attempt)
             point.attempt += 1
             if (
                 runner._chaos_engine is not None
@@ -1439,30 +1323,31 @@ class _ParallelDriver:
         )
         return self._finalize(outcome, point.fingerprint)
 
-    def _finalize(self, outcome: RunOutcome, fingerprint: str) -> bool:
+    def _finalize(
+        self, outcome: RunOutcome, fingerprint: Optional[str]
+    ) -> bool:
         """Checkpoint/record/notify one terminal outcome.
 
-        Returns True when the outcome triggers ``on_error="fail"`` —
-        the caller must stop scheduling and let teardown kill the rest.
+        ``fingerprint`` is None for an outcome replayed from the
+        checkpoint, which is already on disk.  Returns True when the
+        outcome triggers ``on_error="fail"`` — the caller must stop
+        scheduling and let teardown kill the rest.
         """
         runner = self.runner
-        if self.store is not None:
+        if self.store is not None and fingerprint is not None:
             self.store.append(runner._entry_of(outcome, fingerprint))
         runner._record(self.campaign, outcome)
-        if runner._progress is not None:
-            runner._progress.point_finished(outcome)
-        if runner._on_outcome is not None:
-            runner._on_outcome(outcome)
+        if self.progress is not None:
+            self.progress.point_finished(outcome)
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
         if not outcome.ok and runner.on_error == "fail":
             self.status = "failed"
             self.pending_error = runner._failure_error(outcome)
             return True
         return False
 
-    def _wait_timeout(
-        self,
-        running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]],
-    ) -> Optional[float]:
+    def _wait_timeout(self, running: _Running) -> Optional[float]:
         """How long ``wait`` may block: to the nearest deadline or the
         nearest retry-eligibility time, whichever comes first — capped
         at half a second so a :meth:`CampaignRunner.request_stop` from a

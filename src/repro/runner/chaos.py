@@ -247,7 +247,7 @@ class ChaosEngine:
             return "torn"
         return None
 
-    def kill_attempt(self, point_index: int, worker_kills: int) -> bool:
+    def kill_launch(self, point_index: int, worker_kills: int) -> bool:
         """Should this launch of spec point ``point_index`` be killed?
 
         ``worker_kills`` is how many times the point's worker has

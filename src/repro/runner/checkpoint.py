@@ -8,12 +8,13 @@ A campaign directory holds two files:
     to disk, so a killed campaign loses at most the points that were in
     flight.  Every line carries its own CRC32 (the ``crc32`` field,
     computed over the rest of the object), so replay can tell a
-    bit-flipped line from a merely torn one.  A parallel campaign
-    (``workers>1``) appends in *completion* order, not spec order;
-    replay is keyed by ``run_id`` (last entry wins; torn or corrupt
-    lines are skipped), so an out-of-order file resumes exactly like an
-    in-order one.  On ``--resume`` the runner replays this file and
-    skips every point whose ``run_id`` and spec fingerprint match.
+    bit-flipped line from a merely torn one.  A campaign with worker
+    processes appends in *completion* order, not spec order (any
+    ``workers>1``, or a point backing off at ``workers=1``); replay is
+    keyed by ``run_id`` (last entry wins; torn or corrupt lines are
+    skipped), so an out-of-order file resumes exactly like an in-order
+    one.  On ``--resume`` the runner replays this file and skips every
+    point whose ``run_id`` and spec fingerprint match.
 
     Appends are built to survive a hostile filesystem: a failed append
     (ENOSPC, EIO, an injected chaos fault) queues the entry in memory

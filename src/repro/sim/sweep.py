@@ -49,10 +49,10 @@ FIGURE10_CACHES: List[Tuple[int, int, str]] = [
 
 
 def _default_runner(workers: int = 1) -> CampaignRunner:
-    """Legacy semantics: in-process, no retry, raise on first failure.
+    """Legacy semantics: no retry, raise on first failure.
 
-    With ``workers > 1`` the runner keeps fail-fast semantics but fans
-    points out across persistent worker processes.
+    ``workers=1`` runs inline (in-process, in spec order); ``workers > 1``
+    fans the points out across persistent worker processes.
     """
     if workers > 1:
         return CampaignRunner(

@@ -127,10 +127,11 @@ class TestChaosSpec:
         with pytest.raises(ValueError):
             ChaosSpec.scheduled(1, 4, poison=5)
 
-    def test_kill_points_need_parallel_workers(self, tmp_path):
-        with pytest.raises(ConfigError, match="workers"):
+    def test_kill_points_need_process_isolation(self, tmp_path):
+        with pytest.raises(ConfigError, match="process isolation"):
             CampaignRunner(
-                str(tmp_path), workers=1, chaos=ChaosSpec(kill_points=(0,))
+                str(tmp_path), isolation="inline",
+                chaos=ChaosSpec(kill_points=(0,)),
             )
 
 
@@ -395,6 +396,16 @@ class TestWorkerWatchdog:
         assert manifest["poisoned"] == 0
         assert manifest["chaos"]["counters"]["worker_kills"] == 1
 
+    def test_single_worker_recovers_a_killed_point(self, tmp_path):
+        campaign = CampaignRunner(
+            str(tmp_path), workers=1, isolation="process",
+            backoff_base=0.0, chaos=ChaosSpec(kill_points=(0,)),
+        ).run([_spec("victim")])
+        assert campaign.outcomes["victim"].ok
+        manifest = campaign.manifest
+        assert manifest["ok"] == 1
+        assert manifest["chaos"]["counters"]["worker_kills"] == 1
+
     def test_repeated_deaths_poison_the_point(self, tmp_path):
         specs = [_spec("cursed"), _spec("fine", seed=2)]
         campaign = CampaignRunner(
@@ -424,13 +435,13 @@ class TestWorkerWatchdog:
 
     def test_unkillable_pool_falls_back_to_inline(self, tmp_path):
         # Every launch of every point is killed; long before the kill
-        # budget runs out, the consecutive-death streak declares the
-        # pool dead and the campaign finishes inline — all points ok.
+        # budget runs out, the consecutive-death streak (2 * workers + 2
+        # = 6) declares the pool dead and the campaign finishes inline
+        # — all points ok.
         specs = [_spec("p0"), _spec("p1", seed=2)]
         campaign = CampaignRunner(
             str(tmp_path), workers=2, isolation="process",
             backoff_base=0.0, max_worker_kills=10,
-            inline_fallback_after=2,
             chaos=ChaosSpec(poison_points=(0, 1)),
         ).run(specs)
         assert campaign.outcomes["p0"].ok
@@ -438,10 +449,10 @@ class TestWorkerWatchdog:
         manifest = campaign.manifest
         assert manifest["ok"] == 2
         assert manifest["poisoned"] == 0
-        # At least the first two launches were killed before fallback
-        # (a relaunch may slip in while the second death is in flight,
+        # At least the streak's six launches were killed before fallback
+        # (a relaunch may slip in while the sixth death is in flight,
         # so the exact count depends on completion timing).
-        assert manifest["chaos"]["counters"]["worker_kills"] >= 2
+        assert manifest["chaos"]["counters"]["worker_kills"] >= 6
 
     def test_poisoned_point_replays_on_resume(self, tmp_path):
         specs = [_spec("cursed"), _spec("fine", seed=2)]

@@ -122,6 +122,26 @@ class TestSweepCommand:
         assert manifest["ok"] == 3 and manifest["failed"] == 0
         assert manifest["policy"]["workers"] == 2
 
+    def test_chaos_seed_at_default_workers(self, tmp_path, capsys,
+                                          monkeypatch):
+        # Chaos schedules always kill a worker; the default single
+        # worker slot must absorb that like --workers 2 does.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        d = str(tmp_path / "camp")
+        code = main(
+            ["sweep", "health", "--machines", "base,stride,psb,jouppi",
+             "--instructions", "2000", "--warmup", "500",
+             "--campaign-dir", d, "--chaos-seed", "7",
+             "--chaos-poison", "1", "--max-worker-kills", "2"]
+        )
+        assert code == 0
+        assert main(["audit", d]) == 0
+        manifest = json.load(open(os.path.join(d, "manifest.json")))
+        assert manifest["status"] == "complete"
+        assert manifest["ok"] == 3
+        assert manifest["poisoned"] == 1
+        assert manifest["policy"]["workers"] == 1
+
     def test_workers_with_no_isolate_exits_one(self, capsys):
         code = main(
             ["sweep", "health", "--machines", "base", "--workers", "2"]

@@ -25,7 +25,7 @@ from repro.runner import (
 )
 from repro.sim import baseline_config, simulate
 from repro.sim.sweep import cache_sweep, run_configs
-from repro.workloads import get_workload
+from repro.workloads import cache_stats, get_workload, prewarm_workload_trace
 
 INSTRUCTIONS = 1_500
 WARMUP = 300
@@ -63,6 +63,54 @@ class TestRunOne:
             _inline().run_one(_spec(faults=FaultSpec(crash_at=10)))
 
 
+class TestInlineContract:
+    def test_spec_order_one_call_and_one_cache_hit_per_point(
+        self, tmp_path, monkeypatch
+    ):
+        # An inline campaign crosses no process boundary: it pickles no
+        # spec, pre-warms nothing in the parent, and runs (and
+        # checkpoints) its points in spec order through _run_spec —
+        # what per-point timing wrapped around _run_spec relies on.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+
+        def no_pickling(spec):
+            raise AssertionError(f"inline campaign pickled {spec.run_id}")
+
+        monkeypatch.setattr(
+            "repro.runner.campaign._is_picklable", no_pickling
+        )
+        specs = [
+            _spec(f"{name}/{seed}", trace=WorkloadSpec(name, seed=seed))
+            for name, seed in (("health", 1), ("burg", 1), ("health", 2))
+        ]
+        for spec in specs:
+            assert prewarm_workload_trace(
+                spec.trace.name, seed=spec.trace.seed,
+                instructions=INSTRUCTIONS,
+            )
+        camp = str(tmp_path / "camp")
+        runner = _inline(campaign_dir=camp)
+        calls = []
+        run_spec = runner._run_spec
+
+        def counted(spec):
+            calls.append(spec.run_id)
+            return run_spec(spec)
+
+        runner._run_spec = counted
+        hits = cache_stats()["hits"]
+        campaign = runner.run(specs)
+        order = [spec.run_id for spec in specs]
+        assert campaign.manifest["ok"] == len(specs)
+        assert calls == order
+        assert cache_stats()["hits"] - hits == len(specs)
+        with open(os.path.join(camp, CHECKPOINT_NAME)) as handle:
+            appended = [
+                json.loads(line)["run_id"] for line in handle if line.strip()
+            ]
+        assert appended == order
+
+
 class TestRetryPolicy:
     def test_transient_crash_recovers(self):
         sleeps = []
@@ -76,13 +124,11 @@ class TestRetryPolicy:
 
     def test_backoff_grows_exponentially_and_caps(self):
         sleeps = []
-        runner = _inline(
-            retries=4, backoff_base=1.0, backoff_max=3.0, sleep=sleeps.append
-        )
+        runner = _inline(retries=4, backoff_base=10.0, sleep=sleeps.append)
         campaign = runner.run([_spec(faults=FaultSpec(crash_at=10))])
         outcome = campaign.failures["point"]
         assert outcome.attempts == 5
-        assert sleeps == [1.0, 2.0, 3.0, 3.0]
+        assert sleeps == [10.0, 20.0, 30.0, 30.0]  # capped at 30 s
 
     def test_non_retryable_fails_immediately(self):
         sleeps = []

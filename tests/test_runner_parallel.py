@@ -1,10 +1,11 @@
 """Parallel campaign execution (``workers > 1``).
 
-The parallel schedule must be *result-identical* to the serial one:
-same per-point results and failure taxonomy, an equivalent
-checkpoint/manifest differing only in completion order, and the same
-retry/timeout/fail-fast semantics.  Real worker processes are spawned
-throughout; the wall-clock-timeout test carries the ``slow`` marker.
+One scheduler runs every worker count, and its results must not depend
+on that count: same per-point results and failure taxonomy, an
+equivalent checkpoint/manifest differing only in completion order, and
+the same retry/timeout/fail-fast semantics.  Real worker processes are
+spawned throughout; the wall-clock-timeout test carries the ``slow``
+marker.
 """
 
 import json
@@ -40,7 +41,7 @@ def _spec(run_id, config=None, faults=None, seed=1):
 
 def _mixed_specs():
     """Healthy points across configs/seeds plus a crash and a corrupt
-    record — the ok/failed mix the serial-equivalence tests compare."""
+    record — the ok/failed mix the worker-count tests compare."""
     return [
         _spec("base"),
         _spec("stride", stride_config()),
@@ -75,7 +76,7 @@ class TestValidation:
             CampaignRunner(workers=2, isolation="inline")
 
 
-class TestParallelMatchesSerial:
+class TestResultsIndependentOfWorkerCount:
     def test_mixed_campaign_bit_identical(self, tmp_path):
         specs = _mixed_specs()
         serial = CampaignRunner(
@@ -196,8 +197,8 @@ class TestParallelResume:
         assert final["resumed_from_checkpoint"] == 2
 
     def test_out_of_order_checkpoint_resumes_in_full(self, tmp_path):
-        # Simulate a parallel campaign's completion-order checkpoint by
-        # reversing a serial one, then resume through both schedules.
+        # Simulate a completion-order checkpoint by reversing an
+        # in-order one, then resume at two worker counts.
         specs = [_spec(f"p{i}", seed=i + 1) for i in range(4)]
         camp = str(tmp_path / "camp")
         first = CampaignRunner(camp, isolation="inline").run(specs)
