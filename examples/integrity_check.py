@@ -13,6 +13,8 @@ Walks the three pillars of `repro.integrity` on a live machine:
 4. sabotage a run with a silent state corruption and show the checker
    converts it into a structured IntegrityError mid-flight.
 
+Exits 1 if the resumed run diverges or the corruption goes undetected.
+
 Run:
     python examples/integrity_check.py [--instructions N]
 """
@@ -22,7 +24,7 @@ import dataclasses
 
 from repro.config import InvariantLevel
 from repro.errors import IntegrityError
-from repro.integrity import golden_check, resume_run, run_golden
+from repro.integrity import golden_check, run_golden
 from repro.runner import FaultSpec, RunSpec, WorkloadSpec, execute_spec
 from repro.sim import psb_config
 from repro.sim.simulator import Simulator
@@ -62,7 +64,7 @@ def main() -> int:
         snapshot_sink=snapshots.append,
     )
     middle = snapshots[len(snapshots) // 2]
-    resumed = resume_run(middle, trace())
+    resumed = middle.resume(trace())
     identical = all(
         getattr(resumed, field.name) == getattr(result, field.name)
         for field in dataclasses.fields(type(result))
@@ -73,6 +75,9 @@ def main() -> int:
         f"({middle.records_consumed} records consumed); "
         f"bit-identical to uninterrupted run: {identical}"
     )
+    if not identical:
+        print("ERROR: the resumed run diverged from the uninterrupted one")
+        return 1
 
     print("\n== 4. silent corruption caught mid-flight ==")
     spec = RunSpec(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke check: tier-1 tests, an invariant-checked simulation, a
-# golden-model differential check, a chaos-injected sweep verified by
+# golden-model differential check, the integrity example (which fails
+# on a diverging snapshot resume), a chaos-injected sweep verified by
 # the offline auditor, and one tiny end-to-end fault-injected campaign
 # (crash + hang + checkpointed resume) through the real CLI entry
 # points.  Exits non-zero on the first problem.
@@ -22,6 +23,10 @@ python -m repro run health --machine psb --instructions 5000 \
 echo
 echo "== golden-model differential check =="
 python -m repro check health --machine psb --instructions 5000
+
+echo
+echo "== integrity example: invariants, golden diff, snapshot resume =="
+python examples/integrity_check.py --instructions 5000
 
 echo
 echo "== trace compilation round trip =="

@@ -22,7 +22,7 @@ from repro.integrity.invariants import (
     check_mshr,
     check_stream_buffers,
 )
-from repro.integrity.snapshot import SimSnapshot, resume_run
+from repro.integrity.snapshot import SimSnapshot
 
 __all__ = [
     "GoldenReport",
@@ -35,6 +35,5 @@ __all__ = [
     "check_mshr",
     "check_stream_buffers",
     "golden_check",
-    "resume_run",
     "run_golden",
 ]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from repro.config import SimConfig
 from repro.errors import IntegrityError
@@ -95,17 +95,10 @@ class GoldenStats:
 
 def run_golden(
     config: SimConfig,
-    trace: Union[str, bytes, Iterable[TraceRecord]],
+    trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
 ) -> GoldenStats:
-    """Replay ``trace`` through the functional model of ``config``.
-
-    ``trace`` is either an iterable of :class:`TraceRecord` or a
-    compiled binary trace (a ``.rtb`` path or its ``bytes`` payload, see
-    :mod:`repro.trace.binfmt`), which replays straight off the packed
-    struct array — no record objects, no per-record attribute lookups —
-    at several times record-iteration speed.
-    """
+    """Replay ``trace`` through the functional model of ``config``."""
     l1 = GoldenCache(
         config.l1_data.size_bytes,
         config.l1_data.block_size,
@@ -116,34 +109,17 @@ def run_golden(
         config.l2_unified.block_size,
         config.l2_unified.associativity,
     )
-    stats = GoldenStats()
-    seen_blocks: set = set()
-    if isinstance(trace, (str, bytes)):
-        _replay_compiled(trace, l1, l2, stats, seen_blocks, max_instructions)
-    else:
-        _replay_records(trace, l1, l2, stats, seen_blocks, max_instructions)
-    stats.distinct_blocks = len(seen_blocks)
-    return stats
-
-
-def _replay_records(
-    trace: Iterable[TraceRecord],
-    l1: GoldenCache,
-    l2: GoldenCache,
-    stats: GoldenStats,
-    seen_blocks: set,
-    max_instructions: Optional[int],
-) -> None:
-    """The record-iterable replay loop, hot attributes bound to locals."""
     source = iter(trace)
     if max_instructions is not None:
         source = islice(source, max_instructions)
+    # Hot attributes bound to locals: this loop runs once per record.
     LOAD = InstrKind.LOAD
     STORE = InstrKind.STORE
     BRANCH = InstrKind.BRANCH
     l1_access = l1.access
     l2_access = l2.access
     l1_block_size = l1.block_size
+    seen_blocks: set = set()
     seen_add = seen_blocks.add
     instructions = loads = stores = branches = 0
     accesses = l1_misses = l2_misses = 0
@@ -165,83 +141,16 @@ def _replay_records(
             l1_misses += 1
             if not l2_access(addr):
                 l2_misses += 1
-    stats.instructions += instructions
-    stats.loads += loads
-    stats.stores += stores
-    stats.branches += branches
-    stats.accesses += accesses
-    stats.l1_misses += l1_misses
-    stats.l2_misses += l2_misses
-
-
-def _replay_compiled(
-    trace: Union[str, bytes],
-    l1: GoldenCache,
-    l2: GoldenCache,
-    stats: GoldenStats,
-    seen_blocks: set,
-    max_instructions: Optional[int],
-) -> None:
-    """Replay a compiled binary trace from its raw struct tuples.
-
-    Iterates ``struct.iter_unpack`` tuples directly — the dominant cost
-    of the record path is building one ``TraceRecord`` per instruction,
-    which a tag-only functional replay never needs.
-    """
-    from repro.trace.binfmt import HEADER_BYTES, _map_payload, _RECORD
-
-    if isinstance(trace, str):
-        buffer, __ = _map_payload(trace)
-    else:
-        from repro.trace.binfmt import read_header
-
-        buffer = trace
-        read_header(buffer)
-    KIND_LOAD = int(InstrKind.LOAD)
-    KIND_STORE = int(InstrKind.STORE)
-    KIND_BRANCH = int(InstrKind.BRANCH)
-    l1_access = l1.access
-    l2_access = l2.access
-    l1_block_size = l1.block_size
-    seen_add = seen_blocks.add
-    instructions = loads = stores = branches = 0
-    accesses = l1_misses = l2_misses = 0
-    try:
-        for kind, __, __, __, __, addr in _RECORD.iter_unpack(
-            memoryview(buffer)[HEADER_BYTES:]
-        ):
-            if (
-                max_instructions is not None
-                and instructions >= max_instructions
-            ):
-                break
-            instructions += 1
-            if kind == KIND_LOAD:
-                loads += 1
-            elif kind == KIND_STORE:
-                stores += 1
-            else:
-                if kind == KIND_BRANCH:
-                    branches += 1
-                continue
-            accesses += 1
-            seen_add(addr - (addr % l1_block_size))
-            if not l1_access(addr):
-                l1_misses += 1
-                if not l2_access(addr):
-                    l2_misses += 1
-    finally:
-        import mmap
-
-        if isinstance(buffer, mmap.mmap):
-            buffer.close()
-    stats.instructions += instructions
-    stats.loads += loads
-    stats.stores += stores
-    stats.branches += branches
-    stats.accesses += accesses
-    stats.l1_misses += l1_misses
-    stats.l2_misses += l2_misses
+    return GoldenStats(
+        instructions=instructions,
+        loads=loads,
+        stores=stores,
+        branches=branches,
+        accesses=accesses,
+        l1_misses=l1_misses,
+        l2_misses=l2_misses,
+        distinct_blocks=len(seen_blocks),
+    )
 
 
 @dataclass

@@ -2,17 +2,20 @@
 
 A snapshot captures the *entire* machine — caches, MSHRs, buses, stream
 buffers, predictor tables, the core's in-flight window — plus the run
-bookkeeping (:class:`repro.cpu.core._RunState`), as one pickle taken at
-a cycle boundary.  The trace iterator itself is deliberately **not**
-captured: traces here are deterministic (workload generators seeded, or
-files), so a resume rebuilds the trace from its source and skips the
-``records_consumed`` records the snapshotted run already pulled.  The
-result is bit-identical to an uninterrupted run, which the test suite
-asserts field-for-field.
+bookkeeping (a detailed :class:`repro.cpu.core._RunState` or a sampled
+run's ``_SamplingState``), as one pickle taken at a cycle boundary.
+The trace iterator itself is deliberately **not** captured: traces here
+are deterministic (workload generators seeded, or files), so a resume
+rebuilds the trace from its source and skips the ``records_consumed``
+records the snapshotted run already pulled.
 
-This extends PR 1's between-runs checkpointing to *within*-run: a
-campaign run killed by a timeout resumes from its last snapshot file
-instead of restarting from instruction zero.
+:meth:`SimSnapshot.resume` is the one resume path for both modes: it
+hands the restored state to :meth:`repro.sim.simulator.Simulator._drive`,
+the same driver a fresh run goes through, so the result is
+bit-identical to an uninterrupted run, which the test suite asserts
+field-for-field.  A campaign run killed by a timeout or a crash resumes
+from its last snapshot file instead of restarting from instruction
+zero.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import os
 import pickle
 import uuid
 import zlib
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from repro.errors import IntegrityError, SimulationError
+from repro.errors import SimulationError
 from repro.trace.record import TraceRecord
 
 
@@ -56,9 +59,9 @@ class SimSnapshot:
         self.checksum = zlib.crc32(payload) & 0xFFFFFFFF
         #: Which driver captured this snapshot: ``"detailed"`` payloads
         #: hold ``(simulator, _RunState)`` pairs, ``"sampled"`` ones hold
-        #: ``(simulator, _SamplingState)``.  Resume paths check the tag
-        #: so a cross-mode resume fails loudly instead of deserializing
-        #: the wrong state shape into a silently diverging run.
+        #: ``(simulator, _SamplingState)``.  :meth:`resume` needs no tag
+        #: (it dispatches on the restored state); a campaign point
+        #: checks it against its spec before resuming a file from disk.
         self.mode = mode
 
     @classmethod
@@ -92,6 +95,34 @@ class SimSnapshot:
         """A fresh ``(simulator, run_state)`` pair from the payload."""
         self.verify()
         return pickle.loads(self.payload)
+
+    def resume(
+        self,
+        trace: Iterable[TraceRecord],
+        label: Optional[str] = None,
+        snapshot_every: Optional[int] = None,
+        snapshot_sink=None,
+    ):
+        """Continue the snapshotted run to completion.
+
+        ``trace`` must be (a fresh instance of) the same deterministic
+        trace the original run consumed; the first ``records_consumed``
+        records are skipped.  The restored state picks the driver body
+        (detailed or sampled), and the result is the
+        :class:`~repro.sim.results.SimulationResult` an uninterrupted
+        run would return, with ``extra["resumed_from_cycle"]`` marking
+        the seam.  ``label`` defaults to the snapshot's.
+        """
+        simulator, state = self.restore()
+        result = simulator._drive(
+            state,
+            itertools.islice(iter(trace), self.records_consumed, None),
+            label if label is not None else self.label,
+            snapshot_every,
+            snapshot_sink,
+        )
+        result.extra["resumed_from_cycle"] = float(self.cycle)
+        return result
 
     def save(self, path: str) -> None:
         """Write atomically: a reader never sees a torn snapshot."""
@@ -158,48 +189,3 @@ class SimSnapshot:
             f"{self.records_consumed} records, "
             f"{len(self.payload)} bytes)"
         )
-
-
-def fast_forward(
-    trace: Iterable[TraceRecord], records_consumed: int
-) -> Iterator[TraceRecord]:
-    """Skip the records a snapshotted run already consumed."""
-    return itertools.islice(iter(trace), records_consumed, None)
-
-
-def resume_run(
-    snapshot: SimSnapshot,
-    trace: Iterable[TraceRecord],
-    label: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink=None,
-):
-    """Continue a snapshotted run to completion.
-
-    ``trace`` must be (a fresh instance of) the same deterministic trace
-    the original run consumed; the first ``snapshot.records_consumed``
-    records are skipped.  Returns the same
-    :class:`~repro.sim.results.SimulationResult` an uninterrupted run
-    would, with ``extra["resumed_from_cycle"]`` marking the seam.
-
-    Only ``"detailed"`` snapshots can resume here; a sampled-mode
-    snapshot carries driver state the detailed loop cannot interpret, so
-    it must resume through :func:`repro.sampling.driver.resume_sampled`.
-    """
-    if snapshot.mode != "detailed":
-        raise IntegrityError(
-            f"snapshot {snapshot.label!r} was captured in "
-            f"{snapshot.mode!r} mode and cannot resume into the detailed "
-            f"loop; use repro.sampling.driver.resume_sampled"
-        )
-    simulator, state = snapshot.restore()
-    source = fast_forward(trace, snapshot.records_consumed)
-    result = simulator._drive(
-        state,
-        source,
-        label if label is not None else snapshot.label,
-        snapshot_every=snapshot_every,
-        snapshot_sink=snapshot_sink,
-    )
-    result.extra["resumed_from_cycle"] = float(snapshot.cycle)
-    return result

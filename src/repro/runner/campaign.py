@@ -287,16 +287,21 @@ def execute_spec(
     set, fresh snapshots keep landing at ``snapshot_path`` as the run
     progresses, each one atomically replacing the last.
     """
-    from repro.integrity.snapshot import SimSnapshot, fast_forward
+    from repro.integrity.snapshot import SimSnapshot
     from repro.sim.simulator import Simulator
 
     trace_errors: List = []
-    machine: Dict[str, Any] = {}
+    simulator = None  # bound below for a fresh run only
 
     def on_corrupt_state(target: str) -> None:
         from repro.runner.faults import corrupt_simulator_state
 
-        corrupt_simulator_state(machine["simulator"], target)
+        if simulator is None:
+            raise SimulationError(
+                f"{spec.run_id!r}: a corrupt_state_at fault cannot reach "
+                "a machine restored from a snapshot"
+            )
+        corrupt_simulator_state(simulator, target)
 
     records = _resolve_trace(
         spec.trace,
@@ -313,7 +318,6 @@ def execute_spec(
         def snapshot_sink(snapshot: "SimSnapshot") -> None:
             snapshot.save(snapshot_path)
 
-    resumed_cycle: Optional[int] = None
     snapshot: Optional["SimSnapshot"] = None
     snapshot_quarantined = False
     if snapshot_path is not None and os.path.exists(snapshot_path):
@@ -323,7 +327,6 @@ def execute_spec(
             # A corrupt/torn snapshot must never poison the retry: move
             # it aside (post-mortem evidence, audit-visible) and run the
             # attempt from scratch — slower, but always correct.
-            snapshot = None
             snapshot_quarantined = True
             try:
                 os.replace(snapshot_path, snapshot_path + ".corrupt")
@@ -342,31 +345,14 @@ def execute_spec(
                 f"{expected_mode!r} mode; refusing a cross-mode resume",
                 invariant="snapshot.mode",
             )
-        if snapshot.mode == "sampled":
-            from repro.sampling.driver import resume_sampled
-
-            resumed_cycle = snapshot.cycle
-            result = resume_sampled(
-                snapshot,
-                records,
-                label=spec.run_id,
-                snapshot_every=snapshot_every,
-                snapshot_sink=snapshot_sink,
-            )
-        else:
-            simulator, state = snapshot.restore()
-            machine["simulator"] = simulator
-            resumed_cycle = snapshot.cycle
-            result = simulator._drive(
-                state,
-                fast_forward(records, snapshot.records_consumed),
-                spec.run_id,
-                snapshot_every=snapshot_every,
-                snapshot_sink=snapshot_sink,
-            )
+        result = snapshot.resume(
+            records,
+            label=spec.run_id,
+            snapshot_every=snapshot_every,
+            snapshot_sink=snapshot_sink,
+        )
     else:
         simulator = Simulator(spec.config)
-        machine["simulator"] = simulator
         result = simulator.run(
             records,
             max_instructions=spec.max_instructions,
@@ -375,8 +361,6 @@ def execute_spec(
             snapshot_every=snapshot_every,
             snapshot_sink=snapshot_sink,
         )
-    if resumed_cycle is not None:
-        result.extra["resumed_from_cycle"] = float(resumed_cycle)
     if snapshot_quarantined:
         result.extra["snapshot_quarantined"] = 1.0
     if trace_errors:

@@ -22,21 +22,14 @@ grid cancels the fast-forward cold-start bias in relative-IPC and
 speedup estimates — the quantities the paper's figures actually report.
 """
 
-from repro.sampling.driver import resume_sampled, run_sampled
+from repro.sampling.driver import run_sampled
 from repro.sampling.fastforward import FastForwardEngine
-from repro.sampling.paired import (
-    PairedResult,
-    PairStats,
-    paired_from_results,
-    run_paired,
-)
+from repro.sampling.paired import PairedResult, PairStats, run_paired
 
 __all__ = [
     "FastForwardEngine",
     "PairStats",
     "PairedResult",
-    "paired_from_results",
-    "resume_sampled",
     "run_paired",
     "run_sampled",
 ]

@@ -35,10 +35,15 @@ rows) as plain floats so manifests round-trip unchanged.
 Snapshots: with ``snapshot_every``/``snapshot_sink`` the driver captures
 a ``mode="sampled"`` :class:`~repro.integrity.snapshot.SimSnapshot` at
 period boundaries (the first boundary at or after each ``snapshot_every``
-cycles of progress); :func:`resume_sampled` continues one to a result
-bit-identical to an uninterrupted run.  Metrics sampling and event
-tracing (:mod:`repro.obs`) stay off in sampled mode — timelines over a
-discontinuous clock would mislead more than inform.
+cycles of progress); :meth:`SimSnapshot.resume` continues one to a
+result bit-identical to an uninterrupted run.  The run itself goes
+through :meth:`repro.sim.simulator.Simulator._drive`, like a detailed
+one: this module supplies only the sampled body (fast-forward engine,
+window loop, stitching), and each detailed window advances through the
+simulator's ``_advance_loop`` with invariant sweeps as its only stops.
+Metrics sampling and event tracing (:mod:`repro.obs`) stay off in
+sampled mode — timelines over a discontinuous clock would mislead more
+than inform.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from repro.errors import IntegrityError, ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.sampling.fastforward import FastForwardEngine
 from repro.sim.results import SimulationResult
 from repro.stats import ratio
@@ -110,119 +115,49 @@ def run_sampled(
     trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
     label: str = "run",
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
     window_sink: Optional[List[dict]] = None,
 ) -> SimulationResult:
     """Run ``trace`` under ``simulator.config.sampling``.
 
-    Called from :meth:`repro.sim.simulator.Simulator.run` when
-    ``config.sampling`` is set; ``max_instructions`` bounds total records
-    (fast-forwarded + detailed), matching detailed-mode semantics.
-    ``window_sink``, when given, receives one *uncapped* row dict per
-    measured window (index, ipc, instructions, cycles, miss_rate) — the
-    paired driver consumes these; ``result.extra`` stays capped at
-    ``_MAX_WINDOW_ROWS`` rows either way.
+    :meth:`repro.sim.simulator.Simulator.run` takes the same path for a
+    sampled config (and is the one to call for snapshots); call this
+    directly for ``window_sink``, which, when given, receives one
+    *uncapped* row dict per measured window (index, ipc, instructions,
+    cycles, miss_rate, start_record) — the paired driver consumes these;
+    ``result.extra`` stays capped at ``_MAX_WINDOW_ROWS`` rows either
+    way.  ``max_instructions`` bounds total records (fast-forwarded +
+    detailed), matching detailed-mode semantics.
     """
-    state = _SamplingState(max_instructions)
-    return _drive_sampled(
-        simulator,
-        iter(trace),
-        state,
-        label,
-        snapshot_every=snapshot_every,
-        snapshot_sink=snapshot_sink,
-        window_sink=window_sink,
-    )
-
-
-def resume_sampled(
-    snapshot,
-    trace: Iterable[TraceRecord],
-    label: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
-    window_sink: Optional[List[dict]] = None,
-) -> SimulationResult:
-    """Continue a ``mode="sampled"`` snapshot to completion.
-
-    The counterpart of :func:`repro.integrity.snapshot.resume_run`:
-    ``trace`` must be a fresh instance of the same deterministic trace,
-    and the stitched result is bit-identical to an uninterrupted sampled
-    run (asserted by the test suite).
-    """
-    if snapshot.mode != "sampled":
-        raise IntegrityError(
-            f"snapshot {snapshot.label!r} was captured in "
-            f"{snapshot.mode!r} mode and cannot resume into the sampling "
-            f"driver; use repro.integrity.snapshot.resume_run"
+    if simulator.config.sampling is None:
+        raise SimulationError(
+            "sampling driver invoked without SimConfig.sampling"
         )
-    from repro.integrity.snapshot import fast_forward
-
-    simulator, state = snapshot.restore()
-    source = fast_forward(trace, snapshot.records_consumed)
-    result = _drive_sampled(
-        simulator,
-        source,
-        state,
-        label if label is not None else snapshot.label,
-        snapshot_every=snapshot_every,
-        snapshot_sink=snapshot_sink,
-        window_sink=window_sink,
-    )
-    result.extra["resumed_from_cycle"] = float(snapshot.cycle)
+    state = _SamplingState(max_instructions)
+    result = simulator._drive(state, iter(trace), label)
+    if window_sink is not None:
+        window_sink.extend(_window_rows(state.windows))
     return result
 
 
 def _drive_sampled(
     simulator,
-    source: Iterator[TraceRecord],
     state: _SamplingState,
+    source: Iterator[TraceRecord],
     label: str,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
-    window_sink: Optional[List[dict]] = None,
+    snapshot_every: Optional[int],
+    snapshot_sink: Optional[Callable],
 ) -> SimulationResult:
-    sampling = simulator.config.sampling
-    if sampling is None:
-        raise SimulationError(
-            "sampling driver invoked without SimConfig.sampling"
-        )
-    if snapshot_every is not None and snapshot_every <= 0:
-        raise SimulationError(
-            f"snapshot_every must be positive, got {snapshot_every}"
-        )
+    """The sampled body of :meth:`Simulator._drive`: windows, then stitch."""
     engine = FastForwardEngine(simulator)
     # Seed the engine with pre-resume totals so stitched ff counters
     # cover the whole run, not just the post-resume stretch.
     for name, value in state.ff.items():
         setattr(engine, name, value)
-    try:
-        with simulator.perf.time("simulate"):
-            _sampling_loop(
-                simulator,
-                source,
-                state,
-                engine,
-                label,
-                snapshot_every,
-                snapshot_sink,
-            )
-    except ReproError:
-        raise
-    except Exception as error:
-        raise SimulationError(
-            f"sampled simulation {label!r} crashed: "
-            f"{type(error).__name__}: {error}"
-        ) from error
-    state.ff = {
-        "instructions": engine.instructions,
-        "loads": engine.loads,
-        "stores": engine.stores,
-        "branches": engine.branches,
-        "l1_misses": engine.l1_misses,
-    }
-    return _stitch(simulator, state, sampling, label, window_sink)
+    _sampling_loop(
+        simulator, source, state, engine, label, snapshot_every, snapshot_sink
+    )
+    state.ff = {name: getattr(engine, name) for name in state.ff}
+    return _stitch(simulator, state, label)
 
 
 def _sampling_loop(
@@ -249,26 +184,7 @@ def _sampling_loop(
         warmup //= sampling.strata
     core = simulator.core
     hierarchy = simulator.hierarchy
-    controller = simulator.controller
-    checker = simulator.checker
     budget = state.max_instructions
-
-    def on_warmup_end() -> None:
-        hierarchy.reset_stats()
-        if controller is not None:
-            controller.reset_stats()
-        if checker is not None:
-            checker.note_reset()
-
-    def reset_window_stats() -> None:
-        # With warmup == 0 the core's warm-up boundary never fires, so
-        # replicate its resets before the window starts measuring.
-        core.stats.load_latency.reset()
-        core.branch_predictor.reset_stats()
-        core.store_tracker.reset_stats()
-        on_warmup_end()
-
-    check_stride = checker.stride if checker is not None else None
     clock = state.cycle
     gap_target = period - (window + warmup)
     # The first gap is half a period so windows sit at period *midpoints*
@@ -324,21 +240,13 @@ def _sampling_loop(
         run_state.last_retire_cycle = clock
         run_state.warmup_cycle = clock
         if warmup == 0:
-            reset_window_stats()
-        if check_stride is None:
-            core.advance(source, run_state, on_warmup_end=on_warmup_end)
-        else:
-            while True:
-                stop = (run_state.cycle // check_stride + 1) * check_stride
-                finished = core.advance(
-                    source,
-                    run_state,
-                    on_warmup_end=on_warmup_end,
-                    stop_cycle=stop,
-                )
-                checker.on_cycle(run_state.cycle)
-                if finished:
-                    break
+            # The core's warm-up boundary never fires, so replicate its
+            # resets before the window starts measuring.
+            core.stats.load_latency.reset()
+            core.branch_predictor.reset_stats()
+            core.store_tracker.reset_stats()
+            simulator._reset_warmup_stats()
+        simulator._advance_loop(run_state, source)
         stats = core.finish_run(run_state)
         clock = run_state.cycle
         state.cycle = clock
@@ -365,13 +273,7 @@ def _sampling_loop(
         ):
             from repro.integrity.snapshot import SimSnapshot
 
-            state.ff = {
-                "instructions": engine.instructions,
-                "loads": engine.loads,
-                "stores": engine.stores,
-                "branches": engine.branches,
-                "l1_misses": engine.l1_misses,
-            }
+            state.ff = {name: getattr(engine, name) for name in state.ff}
             state.last_snapshot_cycle = clock
             snapshot_sink(
                 SimSnapshot.capture(simulator, state, label, mode="sampled")
@@ -381,8 +283,8 @@ def _sampling_loop(
 def _harvest_window(simulator, stats, state: _SamplingState) -> dict:
     """Raw post-warm-up counters of the window that just finished.
 
-    Every counter here was reset at the window's warm-up boundary (or by
-    ``reset_window_stats`` when warmup is 0) except the MSHR merge
+    Every counter here was reset at the window's warm-up boundary (or
+    before the window opened, when warmup is 0) except the MSHR merge
     counter, which is cumulative and recorded as a delta.
     """
     hierarchy = simulator.hierarchy
@@ -418,15 +320,28 @@ def _harvest_window(simulator, stats, state: _SamplingState) -> dict:
     }
 
 
+def _window_rows(windows: List[dict]) -> List[dict]:
+    """One summary row per measured window, in window order."""
+    return [
+        {
+            "index": index,
+            "ipc": ratio(w["instructions"], w["cycles"]),
+            "instructions": w["instructions"],
+            "cycles": w["cycles"],
+            "miss_rate": ratio(w["demand_misses"], w["demand_accesses"]),
+            "start_record": w.get("start_record", 0),
+        }
+        for index, w in enumerate(windows)
+    ]
+
+
 def _stitch(
-    simulator,
-    state: _SamplingState,
-    sampling,
-    label: str,
-    window_sink: Optional[List[dict]] = None,
+    simulator, state: _SamplingState, label: str
 ) -> SimulationResult:
     """Aggregate per-window counters into one whole-trace result."""
+    sampling = simulator.config.sampling
     windows = state.windows
+    rows = _window_rows(windows)
     checker = simulator.checker
 
     def total(key: str) -> int:
@@ -434,7 +349,7 @@ def _stitch(
 
     instructions = total("instructions")
     cycles = total("cycles")
-    ipcs = [ratio(w["instructions"], w["cycles"]) for w in windows]
+    ipcs = [row["ipc"] for row in rows]
     ci95 = 0.0
     if len(ipcs) >= 2:
         mean = sum(ipcs) / len(ipcs)
@@ -471,25 +386,12 @@ def _stitch(
         "ff_instructions": float(state.ff["instructions"]),
         "ff_l1_misses": float(state.ff["l1_misses"]),
     }
-    for index, (w, ipc) in enumerate(zip(windows, ipcs)):
-        miss_rate = ratio(w["demand_misses"], w["demand_accesses"])
-        if window_sink is not None:
-            window_sink.append(
-                {
-                    "index": index,
-                    "ipc": ipc,
-                    "instructions": w["instructions"],
-                    "cycles": w["cycles"],
-                    "miss_rate": miss_rate,
-                    "start_record": w.get("start_record", 0),
-                }
-            )
-        if index >= _MAX_WINDOW_ROWS:
-            continue
-        extra[f"win.{index}.ipc"] = ipc
-        extra[f"win.{index}.instructions"] = float(w["instructions"])
-        extra[f"win.{index}.cycles"] = float(w["cycles"])
-        extra[f"win.{index}.miss_rate"] = miss_rate
+    for row in rows[:_MAX_WINDOW_ROWS]:
+        index = row["index"]
+        extra[f"win.{index}.ipc"] = row["ipc"]
+        extra[f"win.{index}.instructions"] = float(row["instructions"])
+        extra[f"win.{index}.cycles"] = float(row["cycles"])
+        extra[f"win.{index}.miss_rate"] = row["miss_rate"]
     return SimulationResult(
         label=label,
         instructions=instructions,

@@ -21,9 +21,9 @@ cancels in the ratio.  That is what this driver does:
   mean and a 95% confidence interval, alongside the ratio of the
   stitched whole-trace IPCs (the Figure 5 speedup estimator).
 
-:func:`paired_from_results` is the pure stitching step, split out so a
-snapshot-resumed leg can be folded into a :class:`PairedResult` that is
-bit-identical to an uninterrupted paired run (asserted by the tests).
+Every leg runs inline to completion through
+:func:`repro.sampling.driver.run_sampled`; a paired comparison takes no
+snapshots.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.config import SimConfig
 from repro.errors import IntegrityError, SimulationError
@@ -143,52 +143,31 @@ def _check_same_grid(
             )
 
 
-def paired_from_results(
+def _stitch_pairs(
     results: Dict[str, SimulationResult],
     window_rows: Dict[str, List[dict]],
-    baseline: Optional[str] = None,
-    sample: Optional[Dict[str, float]] = None,
+    baseline: str,
 ) -> PairedResult:
-    """Stitch per-leg sampled results into a :class:`PairedResult`.
-
-    Pure function of its inputs: a leg that was snapshot-resumed stitches
-    to the same paired statistics as an uninterrupted one.  ``baseline``
-    defaults to the first label; every leg's window grid is verified
-    against the baseline's.
-    """
-    if len(results) < 2:
-        raise SimulationError(
-            "a paired comparison needs at least two legs, got "
-            f"{len(results)}"
-        )
-    labels = list(results)
-    if baseline is None:
-        baseline = labels[0]
-    if baseline not in results:
-        raise SimulationError(
-            f"paired baseline {baseline!r} is not one of {labels}"
-        )
-    base_rows = window_rows.get(baseline, [])
+    """Fold the finished legs of :func:`run_paired` into one result."""
+    base_rows = window_rows[baseline]
     if not base_rows:
         raise SimulationError(
             f"paired baseline {baseline!r} measured no windows"
         )
-    if sample is None:
-        extra = results[baseline].extra
-        sample = {
-            key: extra[key]
-            for key in (
-                "sample_period", "sample_window", "sample_warmup",
-                "sample_strata", "sample_warm_confidence",
-            )
-            if key in extra
-        }
+    extra = results[baseline].extra
+    sample = {
+        key: extra[key]
+        for key in (
+            "sample_period", "sample_window", "sample_warmup",
+            "sample_strata", "sample_warm_confidence",
+        )
+        if key in extra
+    }
     pairs: Dict[str, PairStats] = {}
     base_ipc = results[baseline].ipc
-    for label in labels:
+    for label, rows in window_rows.items():
         if label == baseline:
             continue
-        rows = window_rows.get(label, [])
         _check_same_grid(baseline, base_rows, label, rows)
         ratios = [
             ratio(row["ipc"], base_row["ipc"])
@@ -214,8 +193,8 @@ def paired_from_results(
     return PairedResult(
         baseline=baseline,
         sample=sample,
-        results=dict(results),
-        window_rows={label: list(window_rows[label]) for label in labels},
+        results=results,
+        window_rows=window_rows,
         pairs=pairs,
     )
 
@@ -225,8 +204,6 @@ def run_paired(
     trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
     baseline: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable[[str, object], None]] = None,
 ) -> PairedResult:
     """Sample every config over the same window grid of one trace.
 
@@ -234,10 +211,7 @@ def run_paired(
     *same* :class:`~repro.config.SamplingConfig` (different sampling
     shapes would place different grids, and the bias would no longer
     cancel).  ``baseline`` names the denominator leg (default: the first
-    label).  ``snapshot_sink``, when given with ``snapshot_every``,
-    receives ``(label, snapshot)`` pairs — each leg snapshots like an
-    ordinary sampled run and resumes through
-    :func:`repro.sampling.driver.resume_sampled`.
+    label); every leg's window grid is verified against the baseline's.
     """
     from repro.sampling.driver import run_sampled
     from repro.sim.simulator import Simulator
@@ -248,6 +222,12 @@ def run_paired(
             f"{len(configs)}"
         )
     labels = list(configs)
+    if baseline is None:
+        baseline = labels[0]
+    if baseline not in configs:
+        raise SimulationError(
+            f"paired baseline {baseline!r} is not one of {labels}"
+        )
     sampling = configs[labels[0]].sampling
     if sampling is None:
         raise SimulationError(
@@ -278,24 +258,13 @@ def run_paired(
     results: Dict[str, SimulationResult] = {}
     window_rows: Dict[str, List[dict]] = {}
     for label in labels:
-        sink = None
-        if snapshot_sink is not None:
-            bound_label = label
-
-            def sink(snapshot, _label=bound_label):
-                snapshot_sink(_label, snapshot)
-
         rows: List[dict] = []
         results[label] = run_sampled(
             Simulator(configs[label]),
             iter(records),
             max_instructions=max_instructions,
             label=label,
-            snapshot_every=snapshot_every,
-            snapshot_sink=sink,
             window_sink=rows,
         )
         window_rows[label] = rows
-    return paired_from_results(
-        results, window_rows, baseline=baseline
-    )
+    return _stitch_pairs(results, window_rows, baseline)

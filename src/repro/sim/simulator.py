@@ -32,6 +32,7 @@ modes, and results stay bit-identical with observation on or off.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.config import SimConfig
@@ -105,8 +106,8 @@ class Simulator:
             else self.config.warmup_instructions
         )
         if self.config.sampling is not None:
-            # SMARTS-style systematic sampling: hand the run to the
-            # sampling driver (lazy import keeps the detailed path free
+            # SMARTS-style systematic sampling: the sampling body of
+            # _drive runs it (lazy import keeps the detailed path free
             # of any sampling machinery).  Warm-up is per measured
             # window (SamplingConfig.warmup), so a whole-run warm-up
             # would be double-counted.
@@ -116,30 +117,21 @@ class Simulator:
                     "SamplingConfig.warmup; run-level "
                     f"warmup_instructions={warmup} must be 0"
                 )
-            from repro.sampling.driver import run_sampled
+            from repro.sampling.driver import _SamplingState
 
-            return run_sampled(
-                self,
-                trace,
+            state = _SamplingState(max_instructions)
+        else:
+            state = self.core.begin_run(
                 max_instructions=max_instructions,
-                label=label,
-                snapshot_every=snapshot_every,
-                snapshot_sink=snapshot_sink,
+                warmup_instructions=warmup,
             )
-        state = self.core.begin_run(
-            max_instructions=max_instructions, warmup_instructions=warmup
-        )
         return self._drive(
-            state,
-            iter(trace),
-            label,
-            snapshot_every=snapshot_every,
-            snapshot_sink=snapshot_sink,
+            state, iter(trace), label, snapshot_every, snapshot_sink
         )
 
     def _drive(
         self,
-        state: _RunState,
+        state,
         source: Iterator[TraceRecord],
         label: str = "run",
         snapshot_every: Optional[int] = None,
@@ -147,43 +139,27 @@ class Simulator:
     ) -> SimulationResult:
         """Advance ``state`` to completion and build the result.
 
-        Shared by fresh runs (:meth:`run`) and snapshot resumes
-        (:func:`repro.integrity.snapshot.resume_run`).
+        The one driver of every run, fresh (:meth:`run`) or resumed
+        (:meth:`repro.integrity.snapshot.SimSnapshot.resume`): it
+        validates ``snapshot_every``, times ``"simulate"`` and turns
+        unexpected crashes into :class:`SimulationError`, then runs the
+        detailed body for a ``_RunState`` or the sampling body
+        (:mod:`repro.sampling.driver`) for a ``_SamplingState``.
         """
-        checker = self.checker
-
-        def on_warmup_end() -> None:
-            self.hierarchy.reset_stats()
-            if self.controller is not None:
-                self.controller.reset_stats()
-            if checker is not None:
-                checker.note_reset()
-
-        check_stride = checker.stride if checker is not None else None
         if snapshot_every is not None and snapshot_every <= 0:
             raise SimulationError(
                 f"snapshot_every must be positive, got {snapshot_every}"
             )
-        obs = self.obs
-        metrics_stride = (
-            obs.sample_interval if obs.metrics_enabled else None
-        )
-        if metrics_stride is not None:
-            obs.bind_run(state)
-            obs.metrics.sample(state.cycle)
+        if isinstance(state, _RunState):
+            body = self._run_detailed
+        else:
+            from repro.sampling.driver import _drive_sampled
 
+            body = partial(_drive_sampled, self)
         try:
             with self.perf.time("simulate"):
-                self._advance_loop(
-                    state,
-                    source,
-                    on_warmup_end,
-                    check_stride,
-                    checker,
-                    snapshot_every,
-                    snapshot_sink,
-                    label,
-                    metrics_stride,
+                return body(
+                    state, source, label, snapshot_every, snapshot_sink
                 )
         except ReproError:
             # Already classified (e.g. a TraceFormatError surfacing from a
@@ -195,6 +171,41 @@ class Simulator:
                 f"simulation {label!r} crashed: "
                 f"{type(error).__name__}: {error}"
             ) from error
+
+    def _reset_warmup_stats(self) -> None:
+        """Zero the statistics at a warm-up boundary (run or window)."""
+        self.hierarchy.reset_stats()
+        if self.controller is not None:
+            self.controller.reset_stats()
+        if self.checker is not None:
+            self.checker.note_reset()
+
+    def _run_detailed(
+        self,
+        state: _RunState,
+        source: Iterator[TraceRecord],
+        label: str,
+        snapshot_every: Optional[int],
+        snapshot_sink: Optional[Callable],
+    ) -> SimulationResult:
+        """The detailed body of :meth:`_drive`: one timed run."""
+        checker = self.checker
+        obs = self.obs
+        metrics_stride = (
+            obs.sample_interval if obs.metrics_enabled else None
+        )
+        if metrics_stride is not None:
+            obs.bind_run(state)
+            obs.metrics.sample(state.cycle)
+        self._advance_loop(
+            state,
+            source,
+            label,
+            snapshot_every,
+            snapshot_sink,
+            metrics_stride,
+            obs.trace,
+        )
         if metrics_stride is not None:
             # Final row: sample() dedups if the run ended exactly on a
             # periodic boundary already sampled inside the loop.
@@ -242,15 +253,23 @@ class Simulator:
         self,
         state: _RunState,
         source: Iterator[TraceRecord],
-        on_warmup_end: Callable,
-        check_stride: Optional[int],
-        checker,
-        snapshot_every: Optional[int],
-        snapshot_sink: Optional[Callable],
-        label: str,
+        label: str = "run",
+        snapshot_every: Optional[int] = None,
+        snapshot_sink: Optional[Callable] = None,
         metrics_stride: Optional[int] = None,
+        event_trace: Optional[EventTrace] = None,
     ) -> None:
-        """The chunked driver body, split out so :meth:`_drive` can time it."""
+        """Advance ``state`` until its run or window finishes.
+
+        Stops at every cycle boundary an invariant sweep, a snapshot or
+        a metrics sample falls on; with none of them it is one
+        uninterrupted call into the core.  Sampled windows pass only
+        ``state`` and ``source``, so their stops are the invariant
+        sweeps alone.
+        """
+        checker = self.checker
+        check_stride = checker.stride if checker is not None else None
+        on_warmup_end = self._reset_warmup_stats
         if (
             check_stride is None
             and snapshot_every is None
@@ -258,56 +277,54 @@ class Simulator:
         ):
             # Fast path: one uninterrupted call into the core.
             self.core.advance(source, state, on_warmup_end=on_warmup_end)
-        else:
-            obs = self.obs
-            trace = obs.trace
-            emit_integrity = (
-                trace is not None
-                and checker is not None
-                and trace.wants("integrity")
-            )
-            while True:
-                stops = []
-                if check_stride is not None:
-                    stops.append(
-                        (state.cycle // check_stride + 1) * check_stride
-                    )
-                if snapshot_every is not None:
-                    stops.append(
-                        (state.cycle // snapshot_every + 1) * snapshot_every
-                    )
-                if metrics_stride is not None:
-                    stops.append(
-                        (state.cycle // metrics_stride + 1) * metrics_stride
-                    )
-                finished = self.core.advance(
-                    source,
-                    state,
-                    on_warmup_end=on_warmup_end,
-                    stop_cycle=min(stops),
+            return
+        emit_integrity = (
+            event_trace is not None
+            and checker is not None
+            and event_trace.wants("integrity")
+        )
+        while True:
+            stops = []
+            if check_stride is not None:
+                stops.append(
+                    (state.cycle // check_stride + 1) * check_stride
                 )
-                if checker is not None:
-                    checker.on_cycle(state.cycle)
-                    if emit_integrity:
-                        trace.emit(
-                            state.cycle, "integrity", "sweep",
-                            checks_run=checker.checks_run,
-                        )
-                if (
-                    metrics_stride is not None
-                    and state.cycle % metrics_stride == 0
-                ):
-                    obs.metrics.sample(state.cycle)
-                if finished:
-                    break
-                if (
-                    snapshot_sink is not None
-                    and snapshot_every is not None
-                    and state.cycle % snapshot_every == 0
-                ):
-                    from repro.integrity.snapshot import SimSnapshot
+            if snapshot_every is not None:
+                stops.append(
+                    (state.cycle // snapshot_every + 1) * snapshot_every
+                )
+            if metrics_stride is not None:
+                stops.append(
+                    (state.cycle // metrics_stride + 1) * metrics_stride
+                )
+            finished = self.core.advance(
+                source,
+                state,
+                on_warmup_end=on_warmup_end,
+                stop_cycle=min(stops),
+            )
+            if checker is not None:
+                checker.on_cycle(state.cycle)
+                if emit_integrity:
+                    event_trace.emit(
+                        state.cycle, "integrity", "sweep",
+                        checks_run=checker.checks_run,
+                    )
+            if (
+                metrics_stride is not None
+                and state.cycle % metrics_stride == 0
+            ):
+                self.obs.metrics.sample(state.cycle)
+            if finished:
+                break
+            if (
+                snapshot_sink is not None
+                and snapshot_every is not None
+                and state.cycle % snapshot_every == 0
+            ):
+                from repro.integrity.snapshot import SimSnapshot
 
-                    snapshot_sink(SimSnapshot.capture(self, state, label))
+                snapshot_sink(SimSnapshot.capture(self, state, label))
 
 
 def simulate(

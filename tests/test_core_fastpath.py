@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import InvariantLevel
 from repro.integrity import golden_check, run_golden
-from repro.integrity.snapshot import resume_run
 from repro.sim import Simulator, baseline_config, paper_configs
 from repro.workloads import get_workload, workload_names
 
@@ -115,6 +114,6 @@ class TestSnapshotEquivalence:
         _assert_identical(stepped_full, event_full)
         middle = len(event_snaps) // 2
         for snapshot in (event_snaps[middle], stepped_snaps[middle]):
-            resumed = resume_run(snapshot, iter(records))
+            resumed = snapshot.resume(iter(records))
             resumed.extra.pop("resumed_from_cycle")
             _assert_identical(stepped_full, resumed)

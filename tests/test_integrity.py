@@ -19,12 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.config import InvariantLevel
 from repro.errors import IntegrityError
-from repro.integrity import (
-    SimSnapshot,
-    golden_check,
-    resume_run,
-    run_golden,
-)
+from repro.integrity import SimSnapshot, golden_check, run_golden
 from repro.runner import (
     CORRUPT_STATE_TARGETS,
     CampaignRunner,
@@ -227,7 +222,7 @@ class TestSnapshotReplay:
         middle = snapshots[len(snapshots) // 2]
         assert 0 < middle.cycle < reference.cycles
 
-        resumed = resume_run(middle, _trace())
+        resumed = middle.resume(_trace())
         assert resumed.extra["resumed_from_cycle"] == float(middle.cycle)
         _assert_results_identical(resumed, reference)
 

@@ -11,29 +11,30 @@ The sampled estimator's contract has three legs, each pinned here:
   ``bench --sampling``; here a fast subset plus the 1M acceptance
   workload keep the bound honest in the test suite).
 - **Isolation** — sampling must never perturb the detailed path, and
-  incompatible combinations (run-level warm-up, golden checking,
-  cross-mode snapshot resume) fail loudly.
+  incompatible combinations (run-level warm-up, golden checking, a
+  campaign point handed a snapshot of the other mode) fail loudly.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.config import SamplingConfig, SimConfig
 from repro.errors import ConfigError, IntegrityError, SimulationError
-from repro.integrity.golden import run_golden
-from repro.integrity.snapshot import SimSnapshot, resume_run
+from repro.integrity.snapshot import SimSnapshot
 from repro.memory.hierarchy import PrefetcherPort
 from repro.runner import (
     CampaignRunner,
     ChaosSpec,
+    FaultSpec,
     RunSpec,
     WorkloadSpec,
     execute_spec,
 )
-from repro.sampling import FastForwardEngine, resume_sampled, run_sampled
+from repro.sampling import FastForwardEngine, run_sampled
 from repro.sim import baseline_config, psb_config
 from repro.sim.presets import next_line_config
 from repro.sim.simulator import Simulator
-from repro.trace.binfmt import compile_trace
 from repro.workloads import cached_workload_trace
 
 
@@ -229,7 +230,7 @@ class TestErrorBound:
 
 
 # ----------------------------------------------------------------------
-# Snapshots: mode tag, cross-mode refusal, bit-identical resume
+# Snapshots: mode tag, bit-identical resume
 # ----------------------------------------------------------------------
 
 
@@ -273,23 +274,6 @@ class TestSampledSnapshots:
         revived.__setstate__(state)
         assert revived.mode == "detailed"
 
-    def test_cross_mode_resume_refused_both_ways(self):
-        records = cached_workload_trace("health", seed=1,
-                                        instructions=100_000)
-        sampled_config = psb_config().with_sampling(
-            period=20_000, window=1_000, warmup=500
-        )
-        sampled_snaps, detailed_snaps = [], []
-        self._sampled_run(records, sampled_config, sampled_snaps.append)
-        Simulator(psb_config()).run(
-            records, max_instructions=3_000,
-            snapshot_every=500, snapshot_sink=detailed_snaps.append,
-        )
-        with pytest.raises(IntegrityError, match="sampled"):
-            resume_run(sampled_snaps[0], records)
-        with pytest.raises(IntegrityError, match="detailed"):
-            resume_sampled(detailed_snaps[0], records)
-
     def test_resume_is_bit_identical(self):
         records = cached_workload_trace("health", seed=1,
                                         instructions=100_000)
@@ -299,7 +283,7 @@ class TestSampledSnapshots:
         whole = self._sampled_run(records, config, snapshots.append)
         assert snapshots
         for snapshot in (snapshots[0], snapshots[-1]):
-            resumed = resume_sampled(snapshot, records)
+            resumed = snapshot.resume(records)
             assert resumed.extra["resumed_from_cycle"] == float(
                 snapshot.cycle
             )
@@ -336,6 +320,46 @@ class TestSampledCampaigns:
         assert point["sampled"] is True
         assert point["windows"] >= 1
         assert "ipc_ci95" in point
+
+    def test_crashed_sampled_point_resumes_from_snapshot(self, tmp_path):
+        spec = _sampled_spec("crash/psb")
+        clean = execute_spec(spec)
+        crashing = dataclasses.replace(
+            spec, faults=FaultSpec(crash_at=40_000, crash_attempts=1)
+        )
+        campaign = CampaignRunner(
+            str(tmp_path), retries=1, isolation="inline",
+            snapshot_every=1_000,
+        ).run([crashing])
+        outcome = campaign.outcomes["crash/psb"]
+        assert outcome.ok, outcome.error_message
+        assert outcome.attempts == 2
+        resumed = outcome.result
+        assert resumed.extra.pop("resumed_from_cycle") > 0
+        assert dataclasses.asdict(resumed) == dataclasses.asdict(clean)
+
+    @pytest.mark.parametrize("spec_mode", ["sampled", "detailed"])
+    def test_snapshot_of_the_other_mode_is_refused(self, tmp_path,
+                                                   spec_mode):
+        records = cached_workload_trace("health", seed=1,
+                                        instructions=60_000)
+        sampled = _sampled_spec("point")
+        detailed = dataclasses.replace(
+            sampled, config=psb_config(), max_instructions=3_000
+        )
+        # The snapshot comes from the mode the spec does *not* run in.
+        source = detailed if spec_mode == "sampled" else sampled
+        snapshots = []
+        Simulator(source.config).run(
+            records, max_instructions=source.max_instructions,
+            snapshot_every=1_000, snapshot_sink=snapshots.append,
+        )
+        path = str(tmp_path / "point.snap")
+        snapshots[0].save(path)
+        spec = sampled if spec_mode == "sampled" else detailed
+        with pytest.raises(IntegrityError) as caught:
+            execute_spec(spec, snapshot_path=path)
+        assert caught.value.invariant == "snapshot.mode"
 
     @pytest.mark.slow
     def test_chaos_killed_campaign_is_bit_identical(self, tmp_path):
@@ -422,29 +446,3 @@ class TestFastForward:
         result = Simulator(config).run(records, max_instructions=60_000)
         assert result.extra["windows"] == 3.0
         assert result.ipc > 0
-
-
-# ----------------------------------------------------------------------
-# The golden-model fast path (compiled replay)
-# ----------------------------------------------------------------------
-
-
-def _golden_fields(stats):
-    return {
-        name: getattr(stats, name)
-        for name in dir(stats)
-        if not name.startswith("_")
-        and isinstance(getattr(stats, name), (int, float))
-    }
-
-
-class TestGoldenFastPath:
-    def test_compiled_replay_matches_record_replay(self, tmp_path):
-        records = cached_workload_trace("health", seed=1,
-                                        instructions=5_000)
-        path = str(tmp_path / "health.rtb")
-        compile_trace(path, iter(records), limit=5_000)
-        config = psb_config()
-        from_records = run_golden(config, records, max_instructions=5_000)
-        from_compiled = run_golden(config, path, max_instructions=5_000)
-        assert _golden_fields(from_records) == _golden_fields(from_compiled)

@@ -27,7 +27,6 @@ from repro.config import (
     StreamBufferConfig,
 )
 from repro.errors import IntegrityError
-from repro.integrity import resume_run
 from repro.integrity.invariants import check_stream_buffers
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import psb_config
@@ -378,7 +377,7 @@ class TestSnapshotResume:
         )
         assert snapshots
         middle = snapshots[len(snapshots) // 2]
-        resumed = resume_run(middle, trace())
+        resumed = middle.resume(trace())
         for field in dataclasses.fields(type(reference)):
             if field.name == "extra":
                 continue
