@@ -25,7 +25,7 @@ import dataclasses
 from repro.config import InvariantLevel
 from repro.errors import IntegrityError
 from repro.integrity import golden_check, run_golden
-from repro.runner import FaultSpec, RunSpec, WorkloadSpec, execute_spec
+from repro.runner import Fault, RunSpec, WorkloadSpec, execute_spec
 from repro.sim import psb_config
 from repro.sim.simulator import Simulator
 from repro.workloads import get_workload
@@ -85,10 +85,10 @@ def main() -> int:
         config=config,
         trace=WorkloadSpec("health", seed=1),
         max_instructions=args.instructions,
-        faults=FaultSpec(corrupt_state_at=1_000, corrupt_state_target="mshr"),
     )
+    sabotage = Fault("state.mshr", spec.run_id, index=1_000)
     try:
-        execute_spec(spec)
+        execute_spec(spec, faults=[sabotage])
     except IntegrityError as error:
         print(f"caught: {error}")
         print(f"  invariant: {error.invariant}")

@@ -2,8 +2,8 @@
 """Resilient sweeps: a campaign that degrades gracefully under faults.
 
 Runs four machines over the `health` workload through the campaign
-runner (`repro.runner`), with two points deliberately sabotaged by the
-deterministic fault harness: one crashes mid-simulation and one hangs
+runner (`repro.runner`), with two points deliberately sabotaged by a
+deterministic fault plan: one crashes mid-simulation and one hangs
 until the per-run timeout kills its worker process.  The campaign
 completes anyway, records both failures in its manifest, and — run the
 script a second time with the same --campaign-dir — resumes the healthy
@@ -19,7 +19,13 @@ import json
 import os
 import tempfile
 
-from repro.runner import CampaignRunner, FaultSpec, RunSpec, WorkloadSpec
+from repro.runner import (
+    CampaignRunner,
+    Fault,
+    FaultPlan,
+    RunSpec,
+    WorkloadSpec,
+)
 from repro.sim import baseline_config, psb_config, stride_config
 
 
@@ -39,30 +45,30 @@ def build_specs(instructions: int, warmup: int):
         )
         for name, config in machines.items()
     ]
-    # Two sabotaged points: a crash (retried, then recorded) and a hang
-    # (killed by the timeout).  A real campaign hits these as malformed
-    # traces, pathological configs, or wedged simulations.
-    specs.append(
+    # Two points the fault plan sabotages: a crash (retried, then
+    # recorded) and a hang (killed by the timeout).  A real campaign
+    # hits these as malformed traces, pathological configs, or wedged
+    # simulations.
+    specs += [
         RunSpec(
-            run_id="health/crashy",
+            run_id=f"health/{name}",
             config=baseline_config(),
             trace=WorkloadSpec("health", seed=1),
             max_instructions=instructions,
             warmup_instructions=warmup,
-            faults=FaultSpec(crash_at=200),
         )
-    )
-    specs.append(
-        RunSpec(
-            run_id="health/hung",
-            config=baseline_config(),
-            trace=WorkloadSpec("health", seed=1),
-            max_instructions=instructions,
-            warmup_instructions=warmup,
-            faults=FaultSpec(hang_at=200, hang_seconds=600.0),
-        )
-    )
+        for name in ("crashy", "hung")
+    ]
     return specs
+
+
+#: Crash ``health/crashy`` and hang ``health/hung`` at record 200.
+SABOTAGE = FaultPlan(
+    [
+        Fault("crash", "health/crashy", index=200),
+        Fault("hang", "health/hung", index=200),
+    ]
+)
 
 
 def main() -> None:
@@ -88,6 +94,7 @@ def main() -> None:
         on_error="skip",    # record failures, keep sweeping
         isolation="process",
         resume=args.resume,
+        faults=SABOTAGE,
     )
     campaign = runner.run(specs)
 

@@ -34,8 +34,8 @@ PUBLIC_MODULES = [
     "repro.sim.presets",
     "repro.sim.results",
     "repro.runner.campaign",
-    "repro.runner.chaos",
     "repro.runner.audit",
+    "repro.runner.faults",
     "repro.streambuf.buffer",
     "repro.streambuf.allocation",
     "repro.streambuf.scheduling",

@@ -29,7 +29,12 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis.report import ascii_table
 from repro.config import BufferSharing, InvariantLevel, SimConfig
 from repro.errors import ConfigError, ReproError
-from repro.sim import baseline_config, paper_configs, simulate
+from repro.sim import (
+    SimulationResult,
+    baseline_config,
+    paper_configs,
+    simulate,
+)
 from repro.sim.presets import (
     demand_markov_config,
     min_delta_config,
@@ -667,6 +672,32 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _figure5_configs(args: argparse.Namespace) -> Dict[str, SimConfig]:
+    """Base plus the paper's Figure 5 machines, under ``--invariants``."""
+    configs = {"Base": baseline_config(), **paper_configs()}
+    return {
+        label: _apply_invariants(args, config)
+        for label, config in configs.items()
+    }
+
+
+def _figure5_results(
+    args: argparse.Namespace,
+) -> Dict[str, SimulationResult]:
+    """Simulate every Figure 5 machine (Base first) on the workload."""
+    warmup = _warmup_of(args)
+    return {
+        label: simulate(
+            config,
+            get_workload(args.workload, seed=args.seed),
+            max_instructions=args.instructions,
+            warmup_instructions=warmup,
+            label=label,
+        )
+        for label, config in _figure5_configs(args).items()
+    }
+
+
 def _command_compare(args: argparse.Namespace) -> int:
     if args.sample is not None:
         return _command_compare_paired(args)
@@ -675,23 +706,10 @@ def _command_compare(args: argparse.Namespace) -> int:
             "compare: --paired-out only applies with --sample",
             field="compare.paired_out",
         )
-    warmup = _warmup_of(args)
-    base = simulate(
-        _apply_invariants(args, baseline_config()),
-        get_workload(args.workload, seed=args.seed),
-        max_instructions=args.instructions,
-        warmup_instructions=warmup,
-        label="Base",
-    )
+    results = _figure5_results(args)
+    base = results.pop("Base")
     rows = [["Base", f"{base.ipc:.3f}", "-", "-"]]
-    for label, config in paper_configs().items():
-        result = simulate(
-            _apply_invariants(args, config),
-            get_workload(args.workload, seed=args.seed),
-            max_instructions=args.instructions,
-            warmup_instructions=warmup,
-            label=label,
-        )
+    for label, result in results.items():
         rows.append(
             [
                 label,
@@ -720,12 +738,9 @@ def _command_compare_paired(args: argparse.Namespace) -> int:
     """
     from repro.sampling.paired import run_paired
 
-    configs = {"Base": _apply_invariants(args, baseline_config())}
-    for label, config in paper_configs().items():
-        configs[label] = _apply_invariants(args, config)
     configs = {
         label: _apply_sample(args, config)
-        for label, config in configs.items()
+        for label, config in _figure5_configs(args).items()
     }
     paired = run_paired(
         configs,
@@ -777,7 +792,7 @@ def _command_sweep_paired(
     """``sweep --sample-paired``: matched-pair sampling across machines."""
     import os
 
-    from repro.sim.sweep import paired_sweep
+    from repro.sampling.paired import run_paired
 
     if args.sample is None:
         raise ConfigError(
@@ -796,9 +811,9 @@ def _command_sweep_paired(
         for name in machines
     }
     baseline = "base" if "base" in configs else machines[0]
-    paired = paired_sweep(
+    paired = run_paired(
         configs,
-        lambda: get_workload(args.workload, seed=args.seed),
+        get_workload(args.workload, seed=args.seed),
         max_instructions=args.instructions,
         baseline=baseline,
     )
@@ -871,19 +886,7 @@ def _comparison_document(args: argparse.Namespace) -> str:
     """The legacy mode: simulate the Figure 5 machines and compare them."""
     from repro.analysis.summary import comparison_report
 
-    warmup = _warmup_of(args)
-    results = {}
-    for label, config in [("Base", baseline_config())] + list(
-        paper_configs().items()
-    ):
-        results[label] = simulate(
-            _apply_invariants(args, config),
-            get_workload(args.workload, seed=args.seed),
-            max_instructions=args.instructions,
-            warmup_instructions=warmup,
-            label=label,
-        )
-    return comparison_report(args.workload, results)
+    return comparison_report(args.workload, _figure5_results(args))
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -1088,7 +1091,7 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
+    from repro.runner import CampaignRunner, FaultPlan, RunSpec, WorkloadSpec
 
     if args.golden and _warmup_of(args) != 0:
         raise ConfigError(
@@ -1117,14 +1120,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("no machines selected", field="sweep.machines")
     if args.sample_paired:
         return _command_sweep_paired(args, machines)
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.runner import ChaosSpec
-
-        chaos = ChaosSpec.scheduled(
-            args.chaos_seed, points=len(machines), poison=args.chaos_poison
-        )
-    elif args.chaos_poison:
+    if args.chaos_poison and args.chaos_seed is None:
         raise ConfigError(
             "sweep: --chaos-poison requires --chaos-seed",
             field="sweep.chaos_poison",
@@ -1143,6 +1139,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
         )
         for name in machines
     ]
+    faults = FaultPlan()
+    if args.chaos_seed is not None:
+        faults = FaultPlan.scheduled(
+            args.chaos_seed,
+            [spec.run_id for spec in specs],
+            poison=args.chaos_poison,
+        )
     progress = None
     if args.progress:
         from repro.obs import CampaignProgress
@@ -1160,7 +1163,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         snapshot_every=args.snapshot_every,
         progress=progress,
-        chaos=chaos,
+        faults=faults,
         max_worker_kills=args.max_worker_kills,
         handle_signals=True,
     )

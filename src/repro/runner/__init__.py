@@ -32,7 +32,6 @@ from repro.runner.campaign import (
     WorkloadSpec,
     execute_spec,
 )
-from repro.runner.chaos import ChaosEngine, ChaosSpec, corrupt_binary_file
 from repro.runner.checkpoint import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
@@ -42,8 +41,11 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.faults import (
     CORRUPT_STATE_TARGETS,
-    FaultSpec,
+    Fault,
+    FaultLog,
+    FaultPlan,
     InjectedCrash,
+    corrupt_binary_file,
     corrupt_simulator_state,
     corrupt_trace_file,
     inject_faults,
@@ -55,9 +57,6 @@ __all__ = [
     "audit_campaign",
     "CampaignResult",
     "CampaignRunner",
-    "ChaosEngine",
-    "ChaosSpec",
-    "corrupt_binary_file",
     "RunOutcome",
     "RunSpec",
     "TraceFileSpec",
@@ -69,8 +68,11 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "CORRUPT_STATE_TARGETS",
-    "FaultSpec",
+    "Fault",
+    "FaultLog",
+    "FaultPlan",
     "InjectedCrash",
+    "corrupt_binary_file",
     "corrupt_simulator_state",
     "corrupt_trace_file",
     "inject_faults",

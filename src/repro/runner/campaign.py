@@ -47,10 +47,12 @@ failure-handling machinery that a long unattended sweep needs:
   progress) and the campaign continues.  If deaths keep coming with no
   completion in between, the scheduler falls back to inline execution
   — slower, but the campaign finishes.
-- **Chaos** — an optional :class:`~repro.runner.chaos.ChaosSpec`
-  injects deterministic environment faults (failing checkpoint
-  appends, worker kills, cache/snapshot corruption, torn manifest
-  writes) for durability testing; see :mod:`repro.runner.chaos`.
+- **Fault injection** — an optional seeded
+  :class:`~repro.runner.faults.FaultPlan` injects deterministic faults
+  into runs (crashes, hangs, corrupt records or state) and around them
+  (failing checkpoint appends, worker kills, cache/snapshot corruption,
+  torn manifest writes) for durability testing; see
+  :mod:`repro.runner.faults`.
 - **Progress** — an optional tracker (duck-typed against
   :class:`repro.obs.progress.CampaignProgress`) receives
   ``begin``/``point_started``/``point_finished``/``finish`` hooks, for
@@ -102,14 +104,13 @@ from repro.errors import (
     WorkerPoisonedError,
     error_kind,
 )
-from repro.runner.chaos import ChaosEngine, ChaosSpec
 from repro.runner.checkpoint import (
     CheckpointStore,
     result_from_dict,
     result_to_dict,
     spec_fingerprint,
 )
-from repro.runner.faults import FaultSpec, inject_faults
+from repro.runner.faults import Fault, FaultLog, FaultPlan, inject_faults
 from repro.trace.record import TraceRecord
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.sim.sweep imports us back
@@ -152,23 +153,25 @@ class RunSpec:
     trace: TraceSource
     max_instructions: Optional[int] = None
     warmup_instructions: int = 0
-    #: Deterministic fault schedule (testing/chaos engineering only).
-    faults: Optional[FaultSpec] = None
     #: Replay the trace through the golden functional model after the
     #: run and raise :class:`~repro.errors.IntegrityError` on
     #: divergence.  Requires ``warmup_instructions == 0``.
     golden_check: bool = False
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, faults: Sequence[Fault] = ()) -> str:
         """Stable identity of this spec's *inputs*, for resume matching.
 
         A checkpointed outcome is only reused when both the ``run_id``
         and this fingerprint match, so editing a spec invalidates its
-        old results.
+        old results.  ``faults`` is the point's in-run fault slice: it
+        changes what the run computes, so it is part of the identity.
         """
+        # A fault-free point hashes None in the fault slot, exactly as
+        # specs that carried their own (absent) schedule once did, so
+        # existing checkpoints still resume.
         parts = [
             self.config, self.trace, self.max_instructions,
-            self.warmup_instructions, self.faults,
+            self.warmup_instructions, tuple(faults) or None,
         ]
         if self.golden_check:
             # Appended conditionally so fingerprints of plain specs
@@ -223,7 +226,7 @@ def _cacheable(trace: TraceSource, max_instructions: Optional[int]) -> bool:
 
 def _resolve_trace(
     trace: TraceSource,
-    faults: Optional[FaultSpec],
+    faults: Sequence[Fault],
     attempt: int,
     errors: Optional[List] = None,
     on_corrupt_state: Optional[Callable[[str], None]] = None,
@@ -262,7 +265,7 @@ def _resolve_trace(
             "as a trace source",
             field="RunSpec.trace",
         )
-    if faults is not None and not faults.is_noop:
+    if faults:
         records = inject_faults(
             records, faults, attempt=attempt, on_corrupt_state=on_corrupt_state
         )
@@ -274,12 +277,15 @@ def execute_spec(
     attempt: int = 0,
     snapshot_every: Optional[int] = None,
     snapshot_path: Optional[str] = None,
+    faults: Sequence[Fault] = (),
 ) -> SimulationResult:
     """Run one campaign point to completion in the current process.
 
     Module-level (not a method) so ``ProcessPoolExecutor`` can pickle it
     into a worker.  Raises taxonomy errors only: the simulator wraps
     unexpected crashes into :class:`~repro.errors.SimulationError`.
+    ``faults`` is the point's in-run slice of the campaign's
+    :class:`~repro.runner.faults.FaultPlan`, fired at ``attempt``.
 
     When ``snapshot_path`` names an existing snapshot file the run
     *resumes* from it instead of starting over (the typical case: a
@@ -298,14 +304,14 @@ def execute_spec(
 
         if simulator is None:
             raise SimulationError(
-                f"{spec.run_id!r}: a corrupt_state_at fault cannot reach "
-                "a machine restored from a snapshot"
+                f"{spec.run_id!r}: a state fault cannot reach a machine "
+                "restored from a snapshot"
             )
         corrupt_simulator_state(simulator, target)
 
     records = _resolve_trace(
         spec.trace,
-        spec.faults,
+        faults,
         attempt,
         errors=trace_errors,
         on_corrupt_state=on_corrupt_state,
@@ -388,7 +394,7 @@ def _golden_validate(spec: RunSpec, result: SimulationResult) -> None:
             field="RunSpec.golden_check",
         )
     reference = _resolve_trace(
-        spec.trace, None, 0, max_instructions=spec.max_instructions
+        spec.trace, (), 0, max_instructions=spec.max_instructions
     )
     golden = run_golden(
         spec.config, reference, max_instructions=spec.max_instructions
@@ -427,7 +433,7 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         on_outcome: Optional[Callable[[RunOutcome], None]] = None,
         progress: Optional[Any] = None,
-        chaos: Optional[ChaosSpec] = None,
+        faults: FaultPlan = FaultPlan(),
         max_worker_kills: int = 3,
         handle_signals: bool = False,
     ) -> None:
@@ -492,15 +498,17 @@ class CampaignRunner:
                 "CampaignRunner.max_worker_kills: must be >= 1",
                 field="CampaignRunner.max_worker_kills",
             )
-        if (
-            chaos is not None
-            and (chaos.kill_points or chaos.poison_points)
-            and isolation != "process"
-        ):
+        if "kill" in faults.sites and isolation != "process":
             raise ConfigError(
-                "CampaignRunner.chaos: kill_points/poison_points need "
-                "process isolation (inline points have no worker to kill)",
-                field="CampaignRunner.chaos",
+                "CampaignRunner.faults: kill faults need process isolation "
+                "(an inline point has no worker to kill)",
+                field="CampaignRunner.faults",
+            )
+        if "hang" in faults.sites and timeout is None:
+            raise ConfigError(
+                "CampaignRunner.faults: hang faults need a timeout, and so "
+                "process isolation (nothing else ends a hung attempt)",
+                field="CampaignRunner.faults",
             )
         self.campaign_dir = campaign_dir
         self.snapshot_every = snapshot_every
@@ -511,7 +519,7 @@ class CampaignRunner:
         self.on_error = on_error
         self.isolation = isolation
         self.resume = resume
-        self.chaos = chaos
+        self.faults = faults
         self.max_worker_kills = max_worker_kills
         #: Install SIGTERM/SIGINT handlers around :meth:`run` (main
         #: thread only) that request a graceful stop instead of letting
@@ -520,7 +528,7 @@ class CampaignRunner:
         self._sleep = sleep
         self._on_outcome = on_outcome
         self._progress = progress
-        self._chaos_engine: Optional[ChaosEngine] = None
+        self._fault_log = FaultLog(faults)
         self._stop_requested = False
 
     # -- graceful stop -------------------------------------------------
@@ -546,12 +554,16 @@ class CampaignRunner:
 
     # -- single-point execution ---------------------------------------
 
+    def _fingerprint(self, spec: RunSpec) -> str:
+        """The spec's fingerprint under this runner's fault plan."""
+        return spec.fingerprint(self.faults.in_run(spec.run_id))
+
     def _snapshot_path(self, spec: RunSpec) -> Optional[str]:
         """Where this spec's within-run snapshot lives, if enabled."""
         if self.snapshot_every is None or self.campaign_dir is None:
             return None
         return os.path.join(
-            self.campaign_dir, "snapshots", spec.fingerprint() + ".snap"
+            self.campaign_dir, "snapshots", self._fingerprint(spec) + ".snap"
         )
 
     def _backoff(self, failures: int) -> float:
@@ -569,7 +581,8 @@ class CampaignRunner:
             attempts = attempt + 1
             try:
                 result = execute_spec(
-                    spec, attempt, self.snapshot_every, snapshot_path
+                    spec, attempt, self.snapshot_every, snapshot_path,
+                    self.faults.in_run(spec.run_id),
                 )
                 self._discard_snapshot(snapshot_path)
                 return RunOutcome(
@@ -590,8 +603,7 @@ class CampaignRunner:
                 )
             if not last_error.retryable or attempt == self.retries:
                 break
-            if self._chaos_engine is not None and snapshot_path is not None:
-                self._chaos_engine.maybe_corrupt_snapshot(snapshot_path)
+            self._fault_log.corrupt("snapshot", spec.run_id, snapshot_path)
             self._sleep(self._backoff(attempt))
         assert last_error is not None
         self._discard_snapshot(snapshot_path)
@@ -668,6 +680,7 @@ class CampaignRunner:
         semantics).
         """
         self._stop_requested = False
+        self._fault_log = FaultLog(self.faults)
         campaign = CampaignResult()
         _Scheduler(self, campaign).drive([spec])
         outcome = campaign.outcomes[spec.run_id]
@@ -700,15 +713,11 @@ class CampaignRunner:
                 )
             seen[spec.run_id] = spec
 
-        self._chaos_engine = (
-            ChaosEngine(self.chaos)
-            if self.chaos is not None and not self.chaos.is_noop
-            else None
-        )
+        self._fault_log = FaultLog(self.faults)
         store: Optional[CheckpointStore] = None
         prior: Dict[str, Dict[str, Any]] = {}
         if self.campaign_dir is not None:
-            store = CheckpointStore(self.campaign_dir, chaos=self._chaos_engine)
+            store = CheckpointStore(self.campaign_dir, faults=self._fault_log)
             if self.resume:
                 prior = store.load()
             else:
@@ -762,7 +771,9 @@ class CampaignRunner:
             raise pending_error
         return campaign
 
-    def _prewarm_caches(self, specs: Sequence[RunSpec]) -> List[str]:
+    def _prewarm_caches(
+        self, specs: Sequence[RunSpec]
+    ) -> Dict[str, List[str]]:
         """Compile each unique workload-trace prefix once, pre-fork.
 
         Only points that cross a process boundary are warmed.  Without
@@ -771,19 +782,20 @@ class CampaignRunner:
         compile — the same prefix; warmed in the parent, the workers
         all mmap one shared compiled trace.  The cache stays an
         accelerator: any failure here just means workers fall back to
-        the generator.  Returns the paths of the entries warmed — the
-        chaos engine's cache-corruption target list.
+        the generator.  Returns each warmed entry's path with the
+        ``run_id``\\ s that read it — the ``cache`` faults' targets.
         """
-        warmed = set()
-        paths: List[str] = []
+        readers: Dict[Tuple[str, int, int], List[str]] = {}
+        warmed: Dict[str, List[str]] = {}
         for spec in specs:
             trace = spec.trace
             if not _cacheable(trace, spec.max_instructions):
                 continue
             key = (trace.name, trace.seed, spec.max_instructions)
-            if key in warmed:
+            if key in readers:
+                readers[key].append(spec.run_id)
                 continue
-            warmed.add(key)
+            readers[key] = [spec.run_id]
             try:
                 from repro.workloads.cache import (
                     cache_path,
@@ -794,14 +806,10 @@ class CampaignRunner:
                     trace.name, seed=trace.seed,
                     instructions=spec.max_instructions,
                 ):
-                    paths.append(
-                        cache_path(
-                            trace.name, trace.seed, spec.max_instructions
-                        )
-                    )
+                    warmed[cache_path(*key)] = readers[key]
             except ReproError:
                 pass  # e.g. unknown workload: the attempt will report it
-        return paths
+        return warmed
 
     @staticmethod
     def _order_campaign(
@@ -930,8 +938,8 @@ class CampaignRunner:
             extra["checkpoint_gaps"] = sorted(store.pending_ids)
         if store.append_failures:
             extra["checkpoint_append_failures"] = store.append_failures
-        if self._chaos_engine is not None:
-            extra["chaos"] = self._chaos_engine.summary()
+        if self.faults.faults:
+            extra["chaos"] = self._fault_log.summary()
         return store.write_manifest(
             status=status,
             total=total,
@@ -989,9 +997,8 @@ class _PointState:
     spec: RunSpec
     fingerprint: str
     snapshot_path: Optional[str]
-    #: Position of the spec in the campaign's spec list (scheduling-
-    #: independent, which is what keys chaos worker kills).
-    index: int = 0
+    #: The point's in-run faults, shipped with every attempt.
+    faults: Tuple[Fault, ...] = ()
     #: True when attempts run in a worker slot (process isolation and
     #: a picklable spec); False runs the point inline.
     isolated: bool = False
@@ -1074,8 +1081,8 @@ class _Scheduler:
         """Run ``specs``, replaying the ``prior`` checkpoint entries."""
         runner = self.runner
         prior = prior or {}
-        for index, spec in enumerate(specs):
-            fingerprint = spec.fingerprint()
+        for spec in specs:
+            fingerprint = runner._fingerprint(spec)
             entry = prior.get(spec.run_id)
             if entry is not None and entry.get("fingerprint") == fingerprint:
                 self.campaign.resumed.append(spec.run_id)
@@ -1085,15 +1092,13 @@ class _Scheduler:
             self.ready.append(
                 _PointState(
                     spec, fingerprint, runner._snapshot_path(spec),
-                    index=index,
+                    faults=runner.faults.in_run(spec.run_id),
                     isolated=not self.inline_mode and _is_picklable(spec),
                 )
             )
         isolated = [point.spec for point in self.ready if point.isolated]
         if isolated:
-            warmed = runner._prewarm_caches(isolated)
-            if runner._chaos_engine is not None:
-                runner._chaos_engine.corrupt_cache_entries(warmed)
+            runner._fault_log.corrupt_cache(runner._prewarm_caches(isolated))
         slots = [
             _WorkerSlot() for _ in range(min(runner.workers, len(isolated)))
         ]
@@ -1179,12 +1184,10 @@ class _Scheduler:
         )
         future = slot.submit(
             execute_spec, spec, point.attempt,
-            runner.snapshot_every, point.snapshot_path,
+            runner.snapshot_every, point.snapshot_path, point.faults,
         )
         running[future] = (point, slot, deadline)
-        if runner._chaos_engine is not None and runner._chaos_engine.kill_launch(
-            point.index, point.worker_kills
-        ):
+        if runner._fault_log.fire("kill", spec.run_id):
             slot.kill_worker()
         return False
 
@@ -1284,13 +1287,9 @@ class _Scheduler:
         if error.retryable and point.attempt < runner.retries:
             delay = runner._backoff(point.attempt)
             point.attempt += 1
-            if (
-                runner._chaos_engine is not None
-                and point.snapshot_path is not None
-            ):
-                runner._chaos_engine.maybe_corrupt_snapshot(
-                    point.snapshot_path
-                )
+            runner._fault_log.corrupt(
+                "snapshot", point.spec.run_id, point.snapshot_path
+            )
             heapq.heappush(
                 self.waiting, (now + delay, next(self._seq), point)
             )

@@ -17,7 +17,7 @@ A campaign directory holds two files:
     point whose ``run_id`` and spec fingerprint match.
 
     Appends are built to survive a hostile filesystem: a failed append
-    (ENOSPC, EIO, an injected chaos fault) queues the entry in memory
+    (ENOSPC, EIO, an injected fault) queues the entry in memory
     and :meth:`CheckpointStore.flush_pending` retries it before the
     manifest is written; a torn trailing fragment left by a previous
     failure is healed by the next append, which starts on a fresh line.
@@ -57,9 +57,9 @@ from typing import (
 )
 
 from repro.ioutil import atomic_write_text, crc32_of
+from repro.runner.faults import FaultLog
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.sim imports us back
-    from repro.runner.chaos import ChaosEngine
     from repro.sim.results import SimulationResult
 
 CHECKPOINT_NAME = "checkpoint.jsonl"
@@ -159,22 +159,20 @@ def iter_checkpoint_lines(
 class CheckpointStore:
     """Append-only record of terminal run outcomes in a campaign dir.
 
-    An optional :class:`~repro.runner.chaos.ChaosEngine` injects
-    append/manifest faults; the store's own recovery machinery
-    (pending-entry queue, newline healing, atomic manifest writes) is
-    what the chaos tests exercise.
+    The campaign's :class:`~repro.runner.faults.FaultLog` injects
+    ``enospc``/``torn`` append and ``manifest`` faults; the store's own
+    recovery machinery (pending-entry queue, newline healing, atomic
+    manifest writes) is what the fault tests exercise.
     """
 
     def __init__(
-        self,
-        campaign_dir: str,
-        chaos: Optional["ChaosEngine"] = None,
+        self, campaign_dir: str, faults: Optional[FaultLog] = None
     ) -> None:
         self.campaign_dir = campaign_dir
         os.makedirs(campaign_dir, exist_ok=True)
         self.checkpoint_path = os.path.join(campaign_dir, CHECKPOINT_NAME)
         self.manifest_path = os.path.join(campaign_dir, MANIFEST_NAME)
-        self.chaos = chaos
+        self.faults = faults if faults is not None else FaultLog()
         #: Entries whose append failed, awaiting :meth:`flush_pending`.
         self._pending: List[Dict[str, Any]] = []
         #: Total append attempts that raised (including injected ones).
@@ -199,14 +197,16 @@ class CheckpointStore:
         """Durably record one terminal outcome.
 
         Returns True when the entry reached disk.  On any ``OSError``
-        (disk full, I/O error, injected chaos) the entry is queued for
+        (disk full, I/O error, an injected fault) the entry is queued for
         :meth:`flush_pending` and False is returned — a failing disk
         degrades durability, it never aborts the campaign.
         """
         line = encode_entry(entry) + "\n"
-        fault = self.chaos.checkpoint_fault() if self.chaos else None
+        run_id = entry.get("run_id")
+        enospc = self.faults.fire("enospc", run_id)
+        torn = not enospc and self.faults.fire("torn", run_id)
         try:
-            if fault == "enospc":
+            if enospc:
                 raise OSError(errno.ENOSPC, "injected: no space left")
             with open(self.checkpoint_path, "a+b") as handle:
                 # Heal a torn trailing fragment from an earlier failed
@@ -217,7 +217,7 @@ class CheckpointStore:
                     handle.seek(-1, os.SEEK_END)
                     if handle.read(1) != b"\n":
                         handle.write(b"\n")
-                if fault == "torn":
+                if torn:
                     handle.write(line.encode()[: max(1, len(line) // 2)])
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -291,7 +291,7 @@ class CheckpointStore:
         if extra:
             manifest.update(extra)
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        if self.chaos and self.chaos.manifest_fault():
+        if self.faults.fire("manifest"):
             # Simulate a kill mid-rewrite: the temp file is torn and the
             # os.replace never happens.  Atomicity means the previous
             # manifest survives; the torn temp is audit-visible litter.

@@ -15,7 +15,8 @@ from repro.runner import (
     MANIFEST_NAME,
     CampaignRunner,
     CheckpointStore,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
     audit_campaign,
@@ -27,14 +28,13 @@ INSTRUCTIONS = 1_000
 WARMUP = 200
 
 
-def _spec(run_id, config=None, faults=None, seed=1):
+def _spec(run_id, config=None, seed=1):
     return RunSpec(
         run_id=run_id,
         config=config if config is not None else baseline_config(),
         trace=WorkloadSpec("health", seed=seed),
         max_instructions=INSTRUCTIONS,
         warmup_instructions=WARMUP,
-        faults=faults,
     )
 
 
@@ -42,13 +42,10 @@ def _spec(run_id, config=None, faults=None, seed=1):
 def campaign_dir(tmp_path_factory):
     """One real mixed campaign every test copies before tampering."""
     directory = tmp_path_factory.mktemp("audited") / "camp"
-    CampaignRunner(str(directory), isolation="inline").run(
-        [
-            _spec("ok1"),
-            _spec("ok2", stride_config()),
-            _spec("bad", faults=FaultSpec(crash_at=100)),
-        ]
-    )
+    CampaignRunner(
+        str(directory), isolation="inline",
+        faults=FaultPlan([Fault("crash", "bad", index=100)]),
+    ).run([_spec("ok1"), _spec("ok2", stride_config()), _spec("bad")])
     return directory
 
 

@@ -1,13 +1,13 @@
-"""Chaos-hardened campaign durability.
+"""Campaign durability under environment faults.
 
-Every fault class :class:`~repro.runner.ChaosSpec` can inject — failed
-and torn checkpoint appends, killed worker processes, corrupted
+Every environment fault a :class:`~repro.runner.FaultPlan` can inject —
+failed and torn checkpoint appends, killed worker processes, corrupted
 compiled-trace cache entries, bit-flipped snapshots, torn manifest
 rewrites — must end in either transparent recovery or a precisely
-audited failure.  The seeded acceptance test at the bottom runs a full
-``workers=2`` campaign under a scheduled fault mix and requires exact
-ok/poisoned tallies, a passing offline audit, and results identical to
-a chaos-free campaign.
+audited failure.  The seeded acceptance tests at the bottom run a full
+campaign under a scheduled fault mix and require exact ok/poisoned
+tallies, a passing offline audit, results identical to a fault-free
+campaign, and the same fired faults at every worker count.
 """
 
 import json
@@ -21,9 +21,10 @@ from repro.runner import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
     CampaignRunner,
-    ChaosEngine,
-    ChaosSpec,
     CheckpointStore,
+    Fault,
+    FaultLog,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
     audit_campaign,
@@ -71,67 +72,92 @@ def _entry(run_id, status="ok", fingerprint="f00d"):
     }
 
 
+def _plan(*faults, seed=0):
+    return FaultPlan(faults, seed=seed)
+
+
+def _sites(plan, site):
+    return {
+        fault.run_id: fault.attempts
+        for fault in plan.faults if fault.site == site
+    }
+
+
+RUN_IDS = [f"p{i}" for i in range(10)]
+
+
 # ----------------------------------------------------------------------
-# The spec
+# The plan
 # ----------------------------------------------------------------------
 
 
-class TestChaosSpec:
+class TestFaultPlan:
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="enospc_appends"):
-            ChaosSpec(enospc_appends=(-1,))
+        with pytest.raises(ValueError, match="index"):
+            Fault("corrupt", "a", index=-1)
 
-    def test_unknown_cache_mode_rejected(self):
-        with pytest.raises(ValueError, match="corrupt_cache"):
-            ChaosSpec(corrupt_cache="melt")
+    def test_unknown_site_rejected(self):
+        with pytest.raises(ValueError, match="site"):
+            Fault("melt", "a")
 
     def test_kill_and_poison_must_be_disjoint(self):
-        with pytest.raises(ValueError, match="both"):
-            ChaosSpec(kill_points=(1, 2), poison_points=(2, 3))
+        # A point is killed once or on every launch, never both.
+        with pytest.raises(ValueError, match="more than one"):
+            _plan(Fault("kill", "a", attempts=1), Fault("kill", "a"))
 
     def test_noop_detection(self):
-        assert ChaosSpec().is_noop
-        assert not ChaosSpec(kill_points=(0,)).is_noop
+        assert not FaultPlan().faults
+        assert FaultPlan().sites == frozenset()
+        assert _plan(Fault("kill", "a")).sites == {"kill"}
 
     def test_scheduled_is_deterministic(self):
-        assert ChaosSpec.scheduled(7, 4, poison=1) == ChaosSpec.scheduled(
-            7, 4, poison=1
+        run_ids = RUN_IDS[:4]
+        assert FaultPlan.scheduled(7, run_ids, poison=1) == (
+            FaultPlan.scheduled(7, run_ids, poison=1)
         )
-        assert ChaosSpec.scheduled(7, 4) != ChaosSpec.scheduled(8, 4)
+        assert FaultPlan.scheduled(7, run_ids) != FaultPlan.scheduled(
+            8, run_ids
+        )
 
     def test_scheduled_shape(self):
-        spec = ChaosSpec.scheduled(3, 10, poison=2)
-        assert len(spec.poison_points) == 2
-        assert not set(spec.kill_points) & set(spec.poison_points)
-        for index in (
-            spec.enospc_appends + spec.torn_appends
-            + spec.kill_points + spec.poison_points
-        ):
-            assert 0 <= index < 10
-        # ENOSPC and torn never target the same append (the write would
-        # only experience one of them anyway).
-        assert not set(spec.enospc_appends) & set(spec.torn_appends)
-        assert spec.corrupt_cache == "bitflip"
-
-    def test_scheduled_zero_intensity_only_poisons(self):
-        assert ChaosSpec.scheduled(1, 5, intensity=0.0).is_noop
-        spec = ChaosSpec.scheduled(1, 5, intensity=0.0, poison=1)
-        assert spec.poison_points and not spec.kill_points
-        assert not spec.enospc_appends and not spec.torn_appends
+        plan = FaultPlan.scheduled(3, RUN_IDS, poison=2)
+        kills = _sites(plan, "kill")
+        poisoned = [run_id for run_id, gate in kills.items() if gate is None]
+        assert len(poisoned) == 2
+        assert sorted(
+            gate for gate in kills.values() if gate is not None
+        ) == [1, 1]
+        for fault in plan.faults:
+            assert fault.run_id in RUN_IDS
+            assert fault.site == "cache" or fault.attempts in (None, 1)
+        # ENOSPC and torn never target the same point's append (the
+        # write would only experience one of them anyway).
+        assert len(_sites(plan, "enospc")) == len(_sites(plan, "torn")) == 2
+        assert not set(_sites(plan, "enospc")) & set(_sites(plan, "torn"))
+        assert set(_sites(plan, "cache")) == set(RUN_IDS)
 
     def test_scheduled_validation(self):
         with pytest.raises(ValueError):
-            ChaosSpec.scheduled(1, 0)
+            FaultPlan.scheduled(1, [])
         with pytest.raises(ValueError):
-            ChaosSpec.scheduled(1, 4, intensity=1.5)
-        with pytest.raises(ValueError):
-            ChaosSpec.scheduled(1, 4, poison=5)
+            FaultPlan.scheduled(1, RUN_IDS[:4], poison=5)
 
     def test_kill_points_need_process_isolation(self, tmp_path):
         with pytest.raises(ConfigError, match="process isolation"):
             CampaignRunner(
                 str(tmp_path), isolation="inline",
-                chaos=ChaosSpec(kill_points=(0,)),
+                faults=_plan(Fault("kill", "a", attempts=1)),
+            )
+
+    @pytest.mark.parametrize("isolation", ["inline", "process"])
+    def test_hang_needs_process_isolation(self, tmp_path, isolation):
+        # Only a timeout kill ends a hang; without one (and an inline
+        # point can have none) it would wedge the campaign for an hour,
+        # so the runner refuses it up front.
+        with pytest.raises(ConfigError, match="hang faults need a timeout"):
+            CampaignRunner(
+                str(tmp_path), isolation=isolation,
+                faults=_plan(Fault("hang", "a", index=10, attempts=1)),
             )
 
 
@@ -142,19 +168,19 @@ class TestChaosSpec:
 
 class TestCheckpointFaults:
     def test_enospc_append_queues_then_flushes(self, tmp_path):
-        engine = ChaosEngine(ChaosSpec(enospc_appends=(0,)))
-        store = CheckpointStore(str(tmp_path), chaos=engine)
+        log = FaultLog(_plan(Fault("enospc", "a", attempts=1)))
+        store = CheckpointStore(str(tmp_path), faults=log)
         assert store.append(_entry("a")) is False
         assert store.append_failures == 1
         assert store.pending_ids == ["a"]
         assert store.load() == {}
         assert store.flush_pending() == 0
         assert set(store.load()) == {"a"}
-        assert engine.counters["checkpoint_enospc"] == 1
+        assert log.counters["checkpoint_enospc"] == 1
 
     def test_torn_append_fragment_is_healed_and_skipped(self, tmp_path):
-        engine = ChaosEngine(ChaosSpec(torn_appends=(0,)))
-        store = CheckpointStore(str(tmp_path), chaos=engine)
+        log = FaultLog(_plan(Fault("torn", "torn", attempts=1)))
+        store = CheckpointStore(str(tmp_path), faults=log)
         assert store.append(_entry("torn")) is False
         # Half the line is on disk; replay must not see an entry.
         assert store.load() == {}
@@ -309,22 +335,22 @@ class TestSnapshotCorruption:
         assert os.path.exists(path + ".corrupt")
 
     def test_retry_with_corrupted_snapshot_still_succeeds(self, tmp_path):
-        from repro.runner import FaultSpec
-
-        # The first attempt crashes mid-run leaving a snapshot; chaos
-        # bit-flips it before the retry, which must quarantine and
+        # The first attempt crashes mid-run leaving a snapshot; the
+        # plan bit-flips it before the retry, which must quarantine and
         # recover rather than resume garbage machine state.
         spec = RunSpec(
             run_id="flaky",
             config=psb_config(),
             trace=WorkloadSpec("health", seed=1),
             max_instructions=INSTRUCTIONS,
-            faults=FaultSpec(crash_at=500, crash_attempts=1),
         )
         campaign = CampaignRunner(
             str(tmp_path), retries=1, isolation="inline",
             snapshot_every=200, backoff_base=0.0,
-            chaos=ChaosSpec(corrupt_snapshot_retries=(0,)),
+            faults=_plan(
+                Fault("crash", "flaky", index=500, attempts=1),
+                Fault("snapshot", "flaky", attempts=1),
+            ),
         ).run([spec])
         outcome = campaign.outcomes["flaky"]
         assert outcome.ok
@@ -349,8 +375,8 @@ class TestTornManifest:
             status="complete", total=1, completed=["a"],
             resumed=[], failures=[],
         )
-        engine = ChaosEngine(ChaosSpec(torn_manifest_writes=(0,)))
-        torn_store = CheckpointStore(str(tmp_path), chaos=engine)
+        log = FaultLog(_plan(Fault("manifest", attempts=1)))
+        torn_store = CheckpointStore(str(tmp_path), faults=log)
         with pytest.raises(OSError):
             torn_store.write_manifest(
                 status="complete", total=2, completed=["a", "b"],
@@ -365,7 +391,7 @@ class TestTornManifest:
     def test_campaign_absorbs_the_torn_write(self, tmp_path):
         campaign = CampaignRunner(
             str(tmp_path), isolation="inline",
-            chaos=ChaosSpec(torn_manifest_writes=(0,)),
+            faults=_plan(Fault("manifest", attempts=1)),
         ).run([_spec("only")])
         # The run itself succeeded; only the summary write was lost.
         assert campaign.outcomes["only"].ok
@@ -387,7 +413,8 @@ class TestWorkerWatchdog:
         specs = [_spec("victim"), _spec("bystander", seed=2)]
         campaign = CampaignRunner(
             str(tmp_path), workers=2, isolation="process",
-            backoff_base=0.0, chaos=ChaosSpec(kill_points=(0,)),
+            backoff_base=0.0,
+            faults=_plan(Fault("kill", "victim", attempts=1)),
         ).run(specs)
         assert campaign.outcomes["victim"].ok
         assert campaign.outcomes["bystander"].ok
@@ -399,7 +426,8 @@ class TestWorkerWatchdog:
     def test_single_worker_recovers_a_killed_point(self, tmp_path):
         campaign = CampaignRunner(
             str(tmp_path), workers=1, isolation="process",
-            backoff_base=0.0, chaos=ChaosSpec(kill_points=(0,)),
+            backoff_base=0.0,
+            faults=_plan(Fault("kill", "victim", attempts=1)),
         ).run([_spec("victim")])
         assert campaign.outcomes["victim"].ok
         manifest = campaign.manifest
@@ -411,7 +439,7 @@ class TestWorkerWatchdog:
         campaign = CampaignRunner(
             str(tmp_path), workers=2, isolation="process",
             backoff_base=0.0, max_worker_kills=2,
-            chaos=ChaosSpec(poison_points=(0,)),
+            faults=_plan(Fault("kill", "cursed")),
         ).run(specs)
         outcome = campaign.failures["cursed"]
         assert outcome.status == "poisoned"
@@ -442,7 +470,7 @@ class TestWorkerWatchdog:
         campaign = CampaignRunner(
             str(tmp_path), workers=2, isolation="process",
             backoff_base=0.0, max_worker_kills=10,
-            chaos=ChaosSpec(poison_points=(0, 1)),
+            faults=_plan(Fault("kill", "p0"), Fault("kill", "p1")),
         ).run(specs)
         assert campaign.outcomes["p0"].ok
         assert campaign.outcomes["p1"].ok
@@ -459,9 +487,9 @@ class TestWorkerWatchdog:
         CampaignRunner(
             str(tmp_path), workers=2, isolation="process",
             backoff_base=0.0, max_worker_kills=1,
-            chaos=ChaosSpec(poison_points=(0,)),
+            faults=_plan(Fault("kill", "cursed")),
         ).run(specs)
-        # A chaos-free resume trusts the checkpoint: the poisoned
+        # A fault-free resume trusts the checkpoint: the poisoned
         # terminal outcome is replayed, not re-run.
         resumed = CampaignRunner(
             str(tmp_path), workers=2, isolation="process", resume=True
@@ -484,14 +512,16 @@ class TestSeededChaosCampaign:
             str(tmp_path / "clean"), workers=2, isolation="process"
         ).run(specs)
 
-        chaos = ChaosSpec.scheduled(7, points=len(specs), poison=1)
-        # seed 7 over 4 points: point 3 poisoned, point 1 killed once,
-        # append 1 ENOSPC, append 2 torn, every cache entry bit-flipped.
-        assert chaos.poison_points == (3,)
+        plan = FaultPlan.scheduled(
+            7, [spec.run_id for spec in specs], poison=1
+        )
+        # seed 7 over 4 points: p3 poisoned, p1 killed once, p1's append
+        # ENOSPC, p2's append torn, every cache entry bit-flipped.
+        assert _sites(plan, "kill") == {"p3": None, "p1": 1}
         camp = str(tmp_path / "chaos")
         campaign = CampaignRunner(
             camp, workers=2, isolation="process",
-            backoff_base=0.0, max_worker_kills=2, chaos=chaos,
+            backoff_base=0.0, max_worker_kills=2, faults=plan,
         ).run(specs)
 
         manifest = campaign.manifest
@@ -523,3 +553,38 @@ class TestSeededChaosCampaign:
         assert {issue.code for issue in report.warnings} <= {
             "checkpoint.line.json"
         }
+
+    def test_same_faults_fire_at_every_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        # Every fault is keyed by run_id, so which faults fire cannot
+        # depend on how many workers share the schedule.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        specs = [_spec(f"p{i}", seed=i + 1) for i in range(4)]
+        plan = FaultPlan.scheduled(
+            7, [spec.run_id for spec in specs], poison=1
+        )
+        fired = {}
+        for workers in (1, 2):
+            manifest = CampaignRunner(
+                str(tmp_path / f"w{workers}"), workers=workers,
+                isolation="process", backoff_base=0.0,
+                max_worker_kills=2, faults=plan,
+            ).run(specs).manifest
+            assert (manifest["ok"], manifest["failed"],
+                    manifest["poisoned"]) == (3, 0, 1)
+            events = manifest["chaos"]["events"]
+            assert all(
+                event["run_id"] in {"p0", "p1", "p2", "p3"}
+                for event in events
+            )
+            fired[workers] = sorted(
+                (event["site"], event["run_id"], event["occurrence"])
+                for event in events
+            )
+        assert fired[1] == fired[2]
+        assert fired[1] == sorted(
+            [("cache", f"p{i}", 0) for i in range(4)]
+            + [("kill", "p1", 0), ("kill", "p3", 0), ("kill", "p3", 1)]
+            + [("enospc", "p1", 0), ("torn", "p2", 0)]
+        )

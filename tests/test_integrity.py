@@ -23,7 +23,8 @@ from repro.integrity import SimSnapshot, golden_check, run_golden
 from repro.runner import (
     CORRUPT_STATE_TARGETS,
     CampaignRunner,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
     execute_spec,
@@ -98,10 +99,10 @@ class TestInvariantChecking:
             config=_full(psb_config()),
             trace=WorkloadSpec("health", seed=1),
             max_instructions=INSTRUCTIONS,
-            faults=FaultSpec(corrupt_state_at=500, corrupt_state_target=target),
         )
+        fault = Fault(f"state.{target}", spec.run_id, index=500)
         with pytest.raises(IntegrityError) as excinfo:
-            execute_spec(spec)
+            execute_spec(spec, faults=[fault])
         error = excinfo.value
         assert error.invariant.startswith(invariant_prefix)
         assert error.retryable is False
@@ -113,9 +114,10 @@ class TestInvariantChecking:
             config=psb_config(),
             trace=WorkloadSpec("health", seed=1),
             max_instructions=INSTRUCTIONS,
-            faults=FaultSpec(corrupt_state_at=500, corrupt_state_target="stats"),
         )
-        result = execute_spec(spec)  # completes, silently wrong: the point
+        fault = Fault("state.stats", spec.run_id, index=500)
+        # Completes, silently wrong: the point.
+        result = execute_spec(spec, faults=[fault])
         assert result.instructions > 0
 
 
@@ -252,13 +254,15 @@ class TestSnapshotReplay:
             config=config,
             trace=WorkloadSpec("health", seed=1),
             max_instructions=INSTRUCTIONS,
-            faults=FaultSpec(crash_at=3_000, crash_attempts=1),
         )
         runner = CampaignRunner(
             str(tmp_path),
             retries=1,
             isolation="inline",
             snapshot_every=2_000,
+            faults=FaultPlan(
+                [Fault("crash", "crash/psb", index=3_000, attempts=1)]
+            ),
         )
         campaign = runner.run([spec])
         outcome = campaign.outcomes["crash/psb"]
@@ -277,9 +281,6 @@ class TestSnapshotReplay:
             config=psb_config(),
             trace=WorkloadSpec("health", seed=1),
             max_instructions=INSTRUCTIONS,
-            faults=FaultSpec(
-                hang_at=3_000, hang_seconds=60.0, hang_attempts=1
-            ),
         )
         runner = CampaignRunner(
             str(tmp_path),
@@ -288,6 +289,9 @@ class TestSnapshotReplay:
             isolation="process",
             snapshot_every=2_000,
             backoff_base=0.0,
+            faults=FaultPlan(
+                [Fault("hang", "hang/psb", index=3_000, attempts=1)]
+            ),
         )
         campaign = runner.run([spec])
         outcome = campaign.outcomes["hang/psb"]

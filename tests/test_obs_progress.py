@@ -3,7 +3,13 @@
 import pytest
 
 from repro.obs import CampaignProgress
-from repro.runner import CampaignRunner, FaultSpec, RunSpec, WorkloadSpec
+from repro.runner import (
+    CampaignRunner,
+    Fault,
+    FaultPlan,
+    RunSpec,
+    WorkloadSpec,
+)
 from repro.sim import baseline_config
 
 
@@ -105,20 +111,19 @@ class TestRunnerIntegration:
                 trace=WorkloadSpec("health", seed=1),
                 max_instructions=1_000,
                 warmup_instructions=200,
-                faults=faults,
             )
-            for run_id, faults in [
-                ("good", None),
-                ("bad", FaultSpec(corrupt_at=50)),
-            ]
+            for run_id in ("good", "bad")
         ]
+
+    #: The "bad" point hits a corrupt record.
+    FAULTS = FaultPlan([Fault("corrupt", "bad", index=50)])
 
     def test_serial_campaign_drives_the_hooks(self):
         lines = []
         progress = CampaignProgress(emit=lines.append)
-        CampaignRunner(isolation="inline", progress=progress).run(
-            self._specs()
-        )
+        CampaignRunner(
+            isolation="inline", progress=progress, faults=self.FAULTS
+        ).run(self._specs())
         assert progress.total == 2
         assert progress.done == 2
         assert progress.failed == 1
@@ -129,7 +134,8 @@ class TestRunnerIntegration:
     def test_parallel_campaign_drives_the_hooks(self):
         progress = CampaignProgress()
         CampaignRunner(
-            workers=2, isolation="process", progress=progress
+            workers=2, isolation="process", progress=progress,
+            faults=self.FAULTS,
         ).run(self._specs())
         assert progress.done == 2
         assert progress.failed == 1

@@ -17,7 +17,6 @@ from repro.errors import SimulationError
 from repro.sampling import PairedResult, run_paired
 from repro.sim.presets import baseline_config, psb_config
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import paired_sweep
 from repro.workloads import cached_workload_trace
 
 
@@ -92,17 +91,6 @@ class TestDeterminism:
         clone = PairedResult.from_dict(paired.to_dict())
         assert clone.to_dict() == paired.to_dict()
         assert clone.pairs["psb"] == paired.pairs["psb"]
-
-    def test_paired_sweep_delegates(self):
-        paired = paired_sweep(
-            {"base": _sampled(baseline_config()),
-             "psb": _sampled(psb_config())},
-            lambda: iter(_health()),
-            max_instructions=120_000,
-            baseline="base",
-        )
-        assert sorted(paired.results) == ["base", "psb"]
-        assert paired.baseline == "base"
 
 
 @pytest.mark.slow

@@ -19,10 +19,12 @@ from repro.runner import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
     CampaignRunner,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
 )
+from repro.runner.checkpoint import spec_fingerprint
 from repro.sim import baseline_config, simulate
 from repro.sim.sweep import cache_sweep, run_configs
 from repro.workloads import cache_stats, get_workload, prewarm_workload_trace
@@ -31,15 +33,23 @@ INSTRUCTIONS = 1_500
 WARMUP = 300
 
 
-def _spec(run_id="point", faults=None, trace=None, instructions=INSTRUCTIONS):
+def _spec(run_id="point", trace=None, instructions=INSTRUCTIONS):
     return RunSpec(
         run_id=run_id,
         config=baseline_config(),
         trace=trace if trace is not None else WorkloadSpec("health", seed=1),
         max_instructions=instructions,
         warmup_instructions=WARMUP,
-        faults=faults,
     )
+
+
+def _plan(site, run_id="point", index=10, attempts=None):
+    """A plan of one in-run fault."""
+    return FaultPlan([Fault(site, run_id, index=index, attempts=attempts)])
+
+
+#: The "bad" point of a campaign hits a corrupt record.
+BAD = _plan("corrupt", "bad", index=5)
 
 
 def _inline(**kwargs):
@@ -60,7 +70,7 @@ class TestRunOne:
 
     def test_raises_on_failure(self):
         with pytest.raises(SimulationError):
-            _inline().run_one(_spec(faults=FaultSpec(crash_at=10)))
+            _inline(faults=_plan("crash")).run_one(_spec())
 
 
 class TestInlineContract:
@@ -114,35 +124,39 @@ class TestInlineContract:
 class TestRetryPolicy:
     def test_transient_crash_recovers(self):
         sleeps = []
-        runner = _inline(retries=2, backoff_base=0.5, sleep=sleeps.append)
-        outcome = runner.run(
-            [_spec(faults=FaultSpec(crash_at=10, crash_attempts=1))]
-        ).outcomes["point"]
+        runner = _inline(
+            retries=2, backoff_base=0.5, sleep=sleeps.append,
+            faults=_plan("crash", attempts=1),
+        )
+        outcome = runner.run([_spec()]).outcomes["point"]
         assert outcome.ok
         assert outcome.attempts == 2
         assert sleeps == [0.5]  # one backoff before the healing attempt
 
     def test_backoff_grows_exponentially_and_caps(self):
         sleeps = []
-        runner = _inline(retries=4, backoff_base=10.0, sleep=sleeps.append)
-        campaign = runner.run([_spec(faults=FaultSpec(crash_at=10))])
+        runner = _inline(
+            retries=4, backoff_base=10.0, sleep=sleeps.append,
+            faults=_plan("crash"),
+        )
+        campaign = runner.run([_spec()])
         outcome = campaign.failures["point"]
         assert outcome.attempts == 5
         assert sleeps == [10.0, 20.0, 30.0, 30.0]  # capped at 30 s
 
     def test_non_retryable_fails_immediately(self):
         sleeps = []
-        runner = _inline(retries=3, sleep=sleeps.append)
-        outcome = runner.run(
-            [_spec(faults=FaultSpec(corrupt_at=10))]
-        ).failures["point"]
+        runner = _inline(
+            retries=3, sleep=sleeps.append, faults=_plan("corrupt")
+        )
+        outcome = runner.run([_spec()]).failures["point"]
         assert outcome.attempts == 1
         assert outcome.error_kind == "TraceFormatError"
         assert sleeps == []
 
     def test_crash_is_classified_retryable_simulation_error(self):
-        outcome = _inline(retries=1).run(
-            [_spec(faults=FaultSpec(crash_at=10))]
+        outcome = _inline(retries=1, faults=_plan("crash")).run(
+            [_spec()]
         ).failures["point"]
         assert outcome.error_kind == "SimulationError"
         assert outcome.attempts == 2
@@ -150,20 +164,16 @@ class TestRetryPolicy:
 
 class TestDegradationPolicy:
     def _specs(self):
-        return [
-            _spec("a"),
-            _spec("bad", faults=FaultSpec(corrupt_at=5)),
-            _spec("c"),
-        ]
+        return [_spec("a"), _spec("bad"), _spec("c")]
 
     def test_skip_records_and_continues(self):
-        campaign = _inline(on_error="skip").run(self._specs())
+        campaign = _inline(on_error="skip", faults=BAD).run(self._specs())
         assert set(campaign.results) == {"a", "c"}
         assert set(campaign.failures) == {"bad"}
 
     def test_fail_fast_raises_and_stops(self):
         with pytest.raises(TraceFormatError):
-            _inline(on_error="fail").run(self._specs())
+            _inline(on_error="fail", faults=BAD).run(self._specs())
 
     def test_fail_fast_still_notifies_on_outcome(self):
         # Regression: the fail-fast break used to run before the
@@ -174,6 +184,7 @@ class TestDegradationPolicy:
             _inline(
                 on_error="fail",
                 on_outcome=lambda o: seen.append((o.run_id, o.ok)),
+                faults=BAD,
             ).run(self._specs())
         assert seen == [("a", True), ("bad", False)]
 
@@ -207,8 +218,8 @@ class TestRunnerValidation:
 class TestCheckpointing:
     def test_checkpoint_and_manifest_written(self, tmp_path):
         d = str(tmp_path / "camp")
-        campaign = _inline(campaign_dir=d).run(
-            [_spec("a"), _spec("bad", faults=FaultSpec(corrupt_at=5))]
+        campaign = _inline(campaign_dir=d, faults=BAD).run(
+            [_spec("a"), _spec("bad")]
         )
         lines = [
             json.loads(line)
@@ -293,11 +304,23 @@ class TestResume:
         campaign = _inline(campaign_dir=d, resume=True).run([changed])
         assert campaign.resumed == []  # fingerprint mismatch: re-ran
 
+    def test_fault_free_fingerprint_matches_old_checkpoints(self):
+        # Specs once carried their own fault schedule, hashed as a
+        # trailing None when absent; the digest keeps that slot so
+        # existing campaign directories still resume.
+        spec = _spec("a")
+        assert spec.fingerprint() == spec_fingerprint(
+            spec.config, spec.trace, spec.max_instructions,
+            spec.warmup_instructions, None,
+        )
+
     def test_resumed_failures_are_not_retried(self, tmp_path):
         d = str(tmp_path / "camp")
-        spec = _spec("bad", faults=FaultSpec(corrupt_at=5))
-        _inline(campaign_dir=d).run([spec])
-        campaign = _inline(campaign_dir=d, resume=True).run([spec])
+        spec = _spec("bad")
+        _inline(campaign_dir=d, faults=BAD).run([spec])
+        campaign = _inline(
+            campaign_dir=d, resume=True, faults=BAD
+        ).run([spec])
         assert campaign.resumed == ["bad"]
         assert campaign.failures["bad"].error_kind == "TraceFormatError"
 
@@ -319,9 +342,10 @@ class TestSnapshotCleanup:
         # campaign reusing the fingerprint would silently fast-forward
         # from the dead attempt's state.
         d = str(tmp_path / "camp")
-        campaign = _inline(campaign_dir=d, snapshot_every=50).run(
-            [_spec("bad", faults=FaultSpec(corrupt_at=800))]
-        )
+        campaign = _inline(
+            campaign_dir=d, snapshot_every=50,
+            faults=_plan("corrupt", "bad", index=800),
+        ).run([_spec("bad")])
         assert campaign.failures["bad"].error_kind == "TraceFormatError"
         snapdir = os.path.join(d, "snapshots")
         assert os.path.isdir(snapdir)  # a snapshot was written mid-run

@@ -15,7 +15,8 @@ from repro.runner import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
     CampaignRunner,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     TraceFileSpec,
     WorkloadSpec,
@@ -29,14 +30,13 @@ INSTRUCTIONS = 1_000
 WARMUP = 200
 
 
-def _workload_spec(run_id, config, faults=None):
+def _workload_spec(run_id, config):
     return RunSpec(
         run_id=run_id,
         config=config,
         trace=WorkloadSpec("health", seed=1),
         max_instructions=INSTRUCTIONS,
         warmup_instructions=WARMUP,
-        faults=faults,
     )
 
 
@@ -51,13 +51,8 @@ def _campaign_specs(tmp_path):
     return [
         _workload_spec("health/base", baseline_config()),
         _workload_spec("health/stride", stride_config()),
-        _workload_spec(
-            "health/crash", baseline_config(), faults=FaultSpec(crash_at=100)
-        ),
-        _workload_spec(
-            "health/hang", baseline_config(),
-            faults=FaultSpec(hang_at=100, hang_seconds=60.0),
-        ),
+        _workload_spec("health/crash", baseline_config()),
+        _workload_spec("health/hang", baseline_config()),
         RunSpec(
             run_id="health/corrupt",
             config=baseline_config(),
@@ -97,6 +92,12 @@ def test_acceptance_faulted_campaign_completes_and_resumes(tmp_path):
             retries=0,
             on_error="skip",
             isolation="process",
+            faults=FaultPlan(
+                [
+                    Fault("crash", "health/crash", index=100),
+                    Fault("hang", "health/hang", index=100),
+                ]
+            ),
             **kwargs,
         )
 
@@ -249,14 +250,12 @@ class TestCheckpointReplayEdgeCases:
 @pytest.mark.slow
 def test_timeout_kills_hung_worker_and_campaign_continues(tmp_path):
     specs = [
-        _workload_spec(
-            "hang", baseline_config(),
-            faults=FaultSpec(hang_at=50, hang_seconds=60.0),
-        ),
+        _workload_spec("hang", baseline_config()),
         _workload_spec("after", baseline_config()),
     ]
     campaign = CampaignRunner(
-        str(tmp_path / "camp"), timeout=2.0, retries=0, isolation="process"
+        str(tmp_path / "camp"), timeout=2.0, retries=0, isolation="process",
+        faults=FaultPlan([Fault("hang", "hang", index=50)]),
     ).run(specs)
     assert campaign.failures["hang"].error_kind == "RunTimeoutError"
     assert "after" in campaign.results  # the campaign outlived the hang

@@ -18,7 +18,8 @@ from repro.runner import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
     CampaignRunner,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
 )
@@ -28,14 +29,13 @@ INSTRUCTIONS = 1_000
 WARMUP = 200
 
 
-def _spec(run_id, config=None, faults=None, seed=1):
+def _spec(run_id, config=None, seed=1):
     return RunSpec(
         run_id=run_id,
         config=config if config is not None else baseline_config(),
         trace=WorkloadSpec("health", seed=seed),
         max_instructions=INSTRUCTIONS,
         warmup_instructions=WARMUP,
-        faults=faults,
     )
 
 
@@ -45,11 +45,20 @@ def _mixed_specs():
     return [
         _spec("base"),
         _spec("stride", stride_config()),
-        _spec("crash", faults=FaultSpec(crash_at=100)),
+        _spec("crash"),
         _spec("psb", psb_config()),
         _spec("seed7", seed=7),
-        _spec("corrupt", faults=FaultSpec(corrupt_at=100)),
+        _spec("corrupt"),
     ]
+
+
+#: The faults of :func:`_mixed_specs`' "crash" and "corrupt" points.
+MIXED_FAULTS = FaultPlan(
+    [
+        Fault("crash", "crash", index=100),
+        Fault("corrupt", "corrupt", index=100),
+    ]
+)
 
 
 def _results_view(campaign):
@@ -80,10 +89,12 @@ class TestResultsIndependentOfWorkerCount:
     def test_mixed_campaign_bit_identical(self, tmp_path):
         specs = _mixed_specs()
         serial = CampaignRunner(
-            str(tmp_path / "serial"), workers=1, isolation="process"
+            str(tmp_path / "serial"), workers=1, isolation="process",
+            faults=MIXED_FAULTS,
         ).run(specs)
         parallel = CampaignRunner(
-            str(tmp_path / "parallel"), workers=4, isolation="process"
+            str(tmp_path / "parallel"), workers=4, isolation="process",
+            faults=MIXED_FAULTS,
         ).run(specs)
 
         # Same per-point numbers, same taxonomy, spec iteration order.
@@ -118,9 +129,8 @@ class TestParallelRetry:
         campaign = CampaignRunner(
             str(tmp_path / "camp"), workers=2, isolation="process",
             retries=2, backoff_base=0.05, sleep=sleeps.append,
-        ).run(
-            [_spec("flaky", faults=FaultSpec(crash_at=100, crash_attempts=1))]
-        )
+            faults=FaultPlan([Fault("crash", "flaky", index=100, attempts=1)]),
+        ).run([_spec("flaky")])
         outcome = campaign.outcomes["flaky"]
         assert outcome.ok
         assert outcome.attempts == 2
@@ -133,7 +143,8 @@ class TestParallelRetry:
         campaign = CampaignRunner(
             str(tmp_path / "camp"), workers=2, isolation="process",
             retries=2, backoff_base=0.0,
-        ).run([_spec("doomed", faults=FaultSpec(crash_at=100))])
+            faults=FaultPlan([Fault("crash", "doomed", index=100)]),
+        ).run([_spec("doomed")])
         outcome = campaign.failures["doomed"]
         assert outcome.error_kind == "SimulationError"
         assert outcome.attempts == 3
@@ -147,9 +158,10 @@ class TestParallelFailFast:
             CampaignRunner(
                 camp, workers=2, isolation="process", on_error="fail",
                 on_outcome=lambda o: seen.append((o.run_id, o.ok)),
+                faults=FaultPlan([Fault("corrupt", "bad", index=50)]),
             ).run(
                 [
-                    _spec("bad", faults=FaultSpec(corrupt_at=50)),
+                    _spec("bad"),
                     _spec("rest1", seed=2),
                     _spec("rest2", seed=3),
                 ]
@@ -219,19 +231,21 @@ class TestParallelResume:
 class TestParallelTimeout:
     def test_deadline_kills_only_the_hung_worker(self, tmp_path):
         specs = [
-            _spec("hang", faults=FaultSpec(hang_at=50, hang_seconds=60.0)),
+            _spec("hang"),
             _spec("ok1", seed=2),
             _spec("ok2", stride_config()),
         ]
+        hang = FaultPlan([Fault("hang", "hang", index=50)])
         parallel = CampaignRunner(
             str(tmp_path / "parallel"), workers=2, timeout=2.0,
-            isolation="process",
+            isolation="process", faults=hang,
         ).run(specs)
         assert parallel.failures["hang"].error_kind == "RunTimeoutError"
         assert set(parallel.results) == {"ok1", "ok2"}
 
         serial = CampaignRunner(
-            str(tmp_path / "serial"), timeout=2.0, isolation="process"
+            str(tmp_path / "serial"), timeout=2.0, isolation="process",
+            faults=hang,
         ).run(specs)
         assert _results_view(parallel) == _results_view(serial)
         assert _failures_view(parallel) == _failures_view(serial)

@@ -5,7 +5,7 @@ The sampled estimator's contract has three legs, each pinned here:
 - **Determinism** — window placement is a pure function of record
   counts, so the sampled result is bit-identical between the
   event-driven and cycle-stepped core loops, across snapshot
-  resume seams, and under chaos-killed campaign workers.
+  resume seams, and under fault-killed campaign workers.
 - **Accuracy** — the stitched IPC stays within the stated error bound
   of the detailed reference (the full six-workload gate lives in
   ``bench --sampling``; here a fast subset plus the 1M acceptance
@@ -25,8 +25,8 @@ from repro.integrity.snapshot import SimSnapshot
 from repro.memory.hierarchy import PrefetcherPort
 from repro.runner import (
     CampaignRunner,
-    ChaosSpec,
-    FaultSpec,
+    Fault,
+    FaultPlan,
     RunSpec,
     WorkloadSpec,
     execute_spec,
@@ -291,7 +291,7 @@ class TestSampledSnapshots:
 
 
 # ----------------------------------------------------------------------
-# Campaign integration: process isolation, chaos, manifests
+# Campaign integration: process isolation, fault injection, manifests
 # ----------------------------------------------------------------------
 
 
@@ -324,13 +324,13 @@ class TestSampledCampaigns:
     def test_crashed_sampled_point_resumes_from_snapshot(self, tmp_path):
         spec = _sampled_spec("crash/psb")
         clean = execute_spec(spec)
-        crashing = dataclasses.replace(
-            spec, faults=FaultSpec(crash_at=40_000, crash_attempts=1)
-        )
         campaign = CampaignRunner(
             str(tmp_path), retries=1, isolation="inline",
             snapshot_every=1_000,
-        ).run([crashing])
+            faults=FaultPlan(
+                [Fault("crash", "crash/psb", index=40_000, attempts=1)]
+            ),
+        ).run([spec])
         outcome = campaign.outcomes["crash/psb"]
         assert outcome.ok, outcome.error_message
         assert outcome.attempts == 2
@@ -371,7 +371,7 @@ class TestSampledCampaigns:
         chaotic = CampaignRunner(
             str(tmp_path / "chaos"), workers=2, isolation="process",
             snapshot_every=1_500, backoff_base=0.0,
-            chaos=ChaosSpec(kill_points=(0,)),
+            faults=FaultPlan([Fault("kill", "p0", attempts=1)]),
         ).run(specs)
         assert chaotic.manifest["ok"] == 2
         assert chaotic.manifest["chaos"]["counters"]["worker_kills"] >= 1
