@@ -53,9 +53,6 @@ DOC_FILES = [
 # and are only compiled.
 EXEC_PYTHON_PAGES = {"README.md", "docs/observability.md"}
 
-# Subcommands too slow for the --run pass.
-SKIP_RUN_SUBCOMMANDS = {"bench"}
-
 # Run-length clamp appended to simulation commands that don't pin one.
 RUN_INSTRUCTIONS = "2000"
 
@@ -195,7 +192,7 @@ def run_commands(path, text, problems):
     with tempfile.TemporaryDirectory() as workdir:
         for command in shell_commands(text):
             argv = cli_argv(command)
-            if argv is None or (argv and argv[0] in SKIP_RUN_SUBCOMMANDS):
+            if argv is None:
                 continue
             proc = subprocess.run(
                 [sys.executable, "-m", "repro"] + _clamped(argv),

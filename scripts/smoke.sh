@@ -43,11 +43,8 @@ EOF
 rm -rf "$trace_dir"
 
 echo
-echo "== bench fast path vs baseline (25% tolerance) =="
-bench_out="$(mktemp -d)"
-python -m repro bench --quick --out "$bench_out/BENCH_core.json" \
-    --check benchmarks/BENCH_core.json --tolerance 0.25
-rm -rf "$bench_out"
+echo "== fast path: pinned visited cycles per paper workload and machine =="
+python -m pytest -q tests/test_core_fastpath.py -k TestVisitedCyclePins
 
 echo
 echo "== sampled simulation (SMARTS windows over fast-forward) =="

@@ -16,13 +16,15 @@ Usage (also available as ``python -m repro``)::
     repro-sim audit camp
 
 Exit status: 0 on success, 1 on any :class:`~repro.errors.ReproError`
-(printed as a one-line message, never a traceback), 130 on Ctrl-C.
+(printed as a one-line message, never a traceback), 130 on Ctrl-C,
+141 when the reader of standard output goes away (as SIGPIPE would).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -162,80 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--binary", action="store_true",
         help="write the binary format directly (same as compiling)",
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the perf micro-suite; write BENCH_core.json",
-        description=(
-            "Benchmark the event-driven fast path against the "
-            "cycle-stepped loop over a pinned workload suite.  Writes a "
-            "JSON report and, with --check, fails when event-mode "
-            "throughput regresses against a checked-in baseline."
-        ),
-    )
-    bench.add_argument(
-        "--workloads", default=None,
-        help="comma-separated workload names (default: all six)",
-    )
-    bench.add_argument(
-        "--machine", choices=sorted(MACHINES), default="base",
-        help="machine config to benchmark (default: base)",
-    )
-    bench.add_argument("--instructions", type=int, default=50_000)
-    bench.add_argument("--warmup", type=int, default=None,
-                       help="default: instructions // 3")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="runs per mode; best wall time wins (default: 3)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small instruction budget and pointer workloads only "
-             "(CI smoke)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_core.json",
-        help="report path (default: BENCH_core.json)",
-    )
-    bench.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a baseline report; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional throughput drop vs baseline "
-             "(default: 0.25)",
-    )
-    bench.add_argument(
-        "--profile", default=None, metavar="DIR",
-        help="dump per-run cProfile stats into DIR",
-    )
-    bench.add_argument(
-        "--sampling", action="store_true",
-        help="run the sampling suite instead: each workload detailed vs "
-             "SMARTS-sampled (classic, tuned, and matched-pair legs), "
-             "gating on detailed bit-identity, tuned IPC error, paired "
-             "relative-IPC error, and effective speedup (defaults: "
-             "machine psb, 1000000 instructions, out BENCH_sampling.json)",
-    )
-    _add_sample_argument(bench)
-    bench.add_argument(
-        "--error-bound", type=float, default=0.10, metavar="FRACTION",
-        help="with --sampling: stated |IPC error| bound for the tuned "
-             "(stratified + warm-confidence) leg stamped into the report "
-             "(default: 0.10)",
-    )
-    bench.add_argument(
-        "--paired-bound", type=float, default=0.05, metavar="FRACTION",
-        help="with --sampling: stated |relative-IPC error| bound for the "
-             "matched-pair leg stamped into the report (default: 0.05)",
-    )
-    bench.add_argument(
-        "--speedup-floor", type=float, default=10.0, metavar="X",
-        help="with --sampling: stated effective-speedup floor stamped "
-             "into the report (default: 10.0)",
     )
 
     report = commands.add_parser(
@@ -937,126 +865,6 @@ def _command_trace_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        check_against_baseline,
-        format_report,
-        load_baseline,
-        run_bench,
-        write_report,
-    )
-    from repro.workloads import PAPER_WORKLOADS, POINTER_WORKLOADS
-
-    if args.workloads is not None:
-        workloads = [
-            name.strip() for name in args.workloads.split(",") if name.strip()
-        ]
-        if not workloads:
-            raise ConfigError("bench: no workloads selected",
-                              field="bench.workloads")
-    elif args.quick:
-        workloads = list(POINTER_WORKLOADS)
-    else:
-        # Paper benchmarks only: the perf baselines were captured on the
-        # six Table 1 stand-ins, and extension workloads must not widen
-        # the gate's scope implicitly.
-        workloads = list(PAPER_WORKLOADS)
-    instructions = args.instructions
-    if args.quick and args.instructions == 50_000:
-        instructions = 10_000
-
-    if args.sampling:
-        if args.quick:
-            raise ConfigError(
-                "bench: --sampling has no --quick mode; the error/"
-                "speedup gate is only meaningful at full trace scale",
-                field="bench.sampling",
-            )
-        return _bench_sampling(args, workloads)
-
-    report = run_bench(
-        workloads,
-        MACHINES[args.machine](),
-        machine=args.machine,
-        instructions=instructions,
-        warmup=args.warmup,
-        seed=args.seed,
-        repeats=args.repeats,
-        profile_dir=args.profile,
-    )
-    write_report(report, args.out)
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    if args.profile:
-        print(f"cProfile dumps in {args.profile}/")
-
-    if args.check is not None:
-        baseline = load_baseline(args.check)
-        failures = check_against_baseline(
-            report, baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"bench regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} "
-              f"(tolerance {args.tolerance * 100:.0f}%)")
-    return 0
-
-
-def _bench_sampling(args: argparse.Namespace, workloads: List[str]) -> int:
-    """The ``bench --sampling`` suite: detailed vs sampled per workload."""
-    from repro.perf import (
-        check_sampling_baseline,
-        format_sampling_report,
-        load_baseline,
-        run_sampling_bench,
-        write_report,
-    )
-
-    # The suite's own defaults: the regression target is the paper
-    # machine at acceptance scale, not the core suite's quick shape.
-    machine = "psb" if args.machine == "base" else args.machine
-    instructions = args.instructions
-    if instructions == 50_000:
-        instructions = 1_000_000
-    out = args.out
-    if out == "BENCH_core.json":
-        out = "BENCH_sampling.json"
-    sample = _parse_sample(args.sample) if args.sample else (50_000, 1_000, 500)
-
-    report = run_sampling_bench(
-        workloads,
-        MACHINES[machine](),
-        machine=machine,
-        instructions=instructions,
-        seed=args.seed,
-        sample=sample,
-        ipc_error_bound=args.error_bound,
-        paired_error_bound=args.paired_bound,
-        speedup_floor=args.speedup_floor,
-        profile_dir=args.profile,
-    )
-    write_report(report, out)
-    print(format_sampling_report(report))
-    print(f"wrote {out}")
-    if args.profile:
-        print(f"cProfile dumps in {args.profile}/")
-
-    if args.check is not None:
-        baseline = load_baseline(args.check)
-        failures = check_sampling_baseline(
-            report, baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"bench regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} "
-              f"(tolerance {args.tolerance * 100:.0f}%)")
-    return 0
-
-
 def _command_check(args: argparse.Namespace) -> int:
     from repro.integrity import golden_check, run_golden
 
@@ -1255,8 +1063,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _command_compare(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "report":
         return _command_report(args)
     if args.command == "check":
@@ -1271,7 +1077,24 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # Flush here, not at interpreter exit, so a reader that closed
+        # the pipe early is handled below rather than at shutdown.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # ``repro-sim audit DIR | head -1``: the reader is gone.  Point
+        # stdout at /dev/null so the exit-time flush of whatever is
+        # still buffered cannot raise again, and exit as a process
+        # killed by SIGPIPE would (128 + 13), without a traceback.
+        try:
+            stdout_fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 141  # stdout is not a real file (replaced in-process)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout_fd)
+        os.close(devnull)
+        return 141
     except ReproError as error:
         print(f"repro-sim: error: {error}", file=sys.stderr)
         return error.exit_code

@@ -444,25 +444,6 @@ class MemoryHierarchy:
             return 0.0
         return self.demand_misses / self.demand_accesses
 
-    def perf_counters(self) -> dict:
-        """Event counts for the perf subsystem (one flat dict)."""
-        return {
-            "hierarchy.demand_accesses": float(self.demand_accesses),
-            "hierarchy.demand_misses": float(self.demand_misses),
-            "hierarchy.sb_hits": float(self.sb_hits),
-            "hierarchy.sb_pending_hits": float(self.sb_pending_hits),
-            "hierarchy.prefetches_issued": float(self.prefetches_issued),
-            "hierarchy.l1_l2_bus_transactions": float(
-                self.l1_l2_bus.transactions
-            ),
-            "hierarchy.l2_mem_bus_transactions": float(
-                self.l2_mem_bus.transactions
-            ),
-            "hierarchy.demand_l2_fetches": float(self.demand_l2_fetches),
-            "hierarchy.demand_mem_fetches": float(self.demand_mem_fetches),
-            "hierarchy.tlb_misses": float(self.tlb.misses),
-        }
-
     def reset_stats(self) -> None:
         """Zero every statistic (fired at the warm-up boundary)."""
         self.demand_accesses = 0

@@ -1,39 +1,12 @@
-"""Simulator performance instrumentation and benchmarking.
+"""Simulator self-instrumentation.
 
-Two halves:
-
-- :mod:`repro.perf.collector` — lightweight wall-clock timers and event
-  counters threaded through the simulator (cycles skipped by the
-  event-driven fast path, time per phase, component event counts).
-- :mod:`repro.perf.bench` — the pinned micro-suite behind
-  ``repro-sim bench``: per-workload wall time, simulated cycles per
-  second, records per second, the event-driven vs cycle-stepped
-  speedup, and regression checking against a checked-in baseline
-  (``benchmarks/BENCH_core.json``).
+:class:`~repro.perf.collector.PerfCollector` holds event counters about
+the simulator run itself (``Simulator.perf``), not the simulated
+machine: the cycles the event-driven fast path skipped.  Host
+throughput is measured by ``perfbench/`` and recorded in
+``benchmarks/BENCH_perf.json`` by ``scripts/record_perf.py``.
 """
 
 from repro.perf.collector import PerfCollector
-from repro.perf.bench import (
-    BenchmarkError,
-    check_against_baseline,
-    check_sampling_baseline,
-    format_report,
-    format_sampling_report,
-    load_baseline,
-    run_bench,
-    run_sampling_bench,
-    write_report,
-)
 
-__all__ = [
-    "PerfCollector",
-    "BenchmarkError",
-    "check_against_baseline",
-    "check_sampling_baseline",
-    "format_report",
-    "format_sampling_report",
-    "load_baseline",
-    "run_bench",
-    "run_sampling_bench",
-    "write_report",
-]
+__all__ = ["PerfCollector"]

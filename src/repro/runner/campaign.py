@@ -559,12 +559,16 @@ class CampaignRunner:
         return spec.fingerprint(self.faults.in_run(spec.run_id))
 
     def _snapshot_path(self, spec: RunSpec) -> Optional[str]:
-        """Where this spec's within-run snapshot lives, if enabled."""
+        """Where this spec's within-run snapshot lives, if enabled.
+
+        Keyed on the ``run_id`` as well as the fingerprint: two points
+        with identical inputs must not share a file, or one point's
+        completion deletes the snapshot the other resumes from.
+        """
         if self.snapshot_every is None or self.campaign_dir is None:
             return None
-        return os.path.join(
-            self.campaign_dir, "snapshots", self._fingerprint(spec) + ".snap"
-        )
+        name = f"{self._fingerprint(spec)}-{spec_fingerprint(spec.run_id)}"
+        return os.path.join(self.campaign_dir, "snapshots", name + ".snap")
 
     def _backoff(self, failures: int) -> float:
         """Backoff before relaunching a point that failed ``failures + 1``

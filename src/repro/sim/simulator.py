@@ -74,9 +74,8 @@ class Simulator:
         # hierarchy so per-miss/per-prefetch hooks fire from inside it.
         self.checker = build_checker(config, self.hierarchy, self.controller)
         self.hierarchy.integrity = self.checker
-        # Wall-clock timers + fast-path counters.  The collector pickles
-        # empty, so snapshots stay bit-identical whether or not (and
-        # however long) a run was measured.
+        # Fast-path counters.  The collector pickles empty, so snapshots
+        # stay bit-identical whichever mode produced them.
         self.perf = PerfCollector()
         self.core.perf = self.perf
         # Metrics + event tracing (repro.obs).  Like the perf collector,
@@ -141,9 +140,9 @@ class Simulator:
 
         The one driver of every run, fresh (:meth:`run`) or resumed
         (:meth:`repro.integrity.snapshot.SimSnapshot.resume`): it
-        validates ``snapshot_every``, times ``"simulate"`` and turns
-        unexpected crashes into :class:`SimulationError`, then runs the
-        detailed body for a ``_RunState`` or the sampling body
+        validates ``snapshot_every`` and turns unexpected crashes into
+        :class:`SimulationError`, then runs the detailed body for a
+        ``_RunState`` or the sampling body
         (:mod:`repro.sampling.driver`) for a ``_SamplingState``.
         """
         if snapshot_every is not None and snapshot_every <= 0:
@@ -157,10 +156,7 @@ class Simulator:
 
             body = partial(_drive_sampled, self)
         try:
-            with self.perf.time("simulate"):
-                return body(
-                    state, source, label, snapshot_every, snapshot_sink
-                )
+            return body(state, source, label, snapshot_every, snapshot_sink)
         except ReproError:
             # Already classified (e.g. a TraceFormatError surfacing from a
             # lazily-parsed trace iterator, or an IntegrityError from a
@@ -211,8 +207,6 @@ class Simulator:
             # periodic boundary already sampled inside the loop.
             obs.metrics.sample(state.cycle)
         stats = self.core.finish_run(state)
-        self.perf.add("sim.cycles", stats.cycles)
-        self.perf.add("sim.instructions", stats.retired)
         hierarchy = self.hierarchy
         controller = self.controller
         return SimulationResult(

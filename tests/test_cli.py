@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import os
 
@@ -71,6 +72,37 @@ class TestTraceCommand:
         records = load_trace_list(path)
         assert len(records) == 500
         assert "wrote 500 records" in capsys.readouterr().out
+
+
+class TestTraceCompileCommand:
+    def test_compile_workload(self, tmp_path, capsys):
+        from repro.trace import load_binary_trace_list
+
+        out = str(tmp_path / "health.rtb")
+        code = main(
+            ["trace", "compile", "health", "--out", out,
+             "--instructions", "300", "--seed", "2"]
+        )
+        assert code == 0
+        assert "compiled 300 records" in capsys.readouterr().out
+        assert len(load_binary_trace_list(out)) == 300
+
+    def test_compile_text_trace(self, tmp_path):
+        from repro.trace import load_binary_trace_list
+        from repro.trace.io import load_trace_list
+
+        text = str(tmp_path / "t.trace")
+        assert main(
+            ["trace", "gs", "--out", text, "--instructions", "200"]
+        ) == 0
+        out = str(tmp_path / "t.rtb")
+        assert main(["trace", "compile", text, "--out", out]) == 0
+        assert load_binary_trace_list(out) == load_trace_list(text)
+
+    def test_compile_needs_source(self, tmp_path, capsys):
+        out = str(tmp_path / "x.rtb")
+        assert main(["trace", "compile", "--out", out]) != 0
+        assert "workload name" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -180,3 +212,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_command_workloads", interrupted)
         assert main(["workloads"]) == 130
         assert "interrupted" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_141_without_traceback(
+        self, capsys, monkeypatch
+    ):
+        # `repro-sim audit DIR | head -1`: the reader closes the pipe
+        # and every later write to stdout raises BrokenPipeError.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["workloads"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -7,6 +7,10 @@ that contract for every registered workload: identical
 behaviour under full invariant checking, and identical mid-run
 snapshots (same cycle, same records consumed, and a snapshot taken in
 one mode resumes to the other mode's final answer).
+
+It also pins, exactly, how many cycles the fast path skips on the paper
+workloads: a change that silently loses cycle skipping keeps every
+result bit-identical and only shows up there.
 """
 
 import dataclasses
@@ -17,7 +21,7 @@ import pytest
 from repro.config import InvariantLevel
 from repro.integrity import golden_check, run_golden
 from repro.sim import Simulator, baseline_config, paper_configs
-from repro.workloads import get_workload, workload_names
+from repro.workloads import PAPER_WORKLOADS, get_workload, workload_names
 
 N = 6_000
 
@@ -117,3 +121,75 @@ class TestSnapshotEquivalence:
             resumed = snapshot.resume(iter(records))
             resumed.extra.pop("resumed_from_cycle")
             _assert_identical(stepped_full, resumed)
+
+
+#: Records per visited-cycle pin, all retired (warm-up 0).
+PIN_RECORDS = 10_000
+
+#: (workload, machine, cycles, cycles skipped by the fast path) at
+#: ``PIN_RECORDS`` records of seed 1.  ``cycles`` is the simulated
+#: answer; ``cycles - skipped`` is the number of cycles the core loop
+#: visits, the loop's cost.  Re-pin only with a change that means to
+#: alter the fast path's horizon.
+VISITED_CYCLE_PINS = [
+    ("health", "base", 148642, 143496),
+    ("health", "stride", 142117, 136986),
+    ("health", "psb", 143069, 137902),
+    ("burg", "base", 48223, 44275),
+    ("burg", "stride", 46588, 42401),
+    ("burg", "psb", 43591, 16983),
+    ("deltablue", "base", 101496, 97371),
+    ("deltablue", "stride", 101536, 97340),
+    ("deltablue", "psb", 101536, 97340),
+    ("gs", "base", 111122, 106006),
+    ("gs", "stride", 109281, 104296),
+    ("gs", "psb", 104830, 98644),
+    ("sis", "base", 23879, 19627),
+    ("sis", "stride", 22209, 16650),
+    ("sis", "psb", 22350, 12532),
+    ("turb3d", "base", 9471, 7258),
+    ("turb3d", "stride", 8583, 6053),
+    ("turb3d", "psb", 8738, 6182),
+]
+
+PIN_MACHINES = {
+    "base": baseline_config,
+    "stride": lambda: paper_configs()["Stride"],
+    "psb": lambda: paper_configs()["ConfAlloc-Priority"],
+}
+
+
+def _cycles_and_skipped(name, machine, event_driven=True):
+    config = PIN_MACHINES[machine]().with_event_driven(event_driven)
+    simulator = Simulator(config)
+    result = simulator.run(
+        iter(_records(name, PIN_RECORDS)),
+        max_instructions=PIN_RECORDS,
+        warmup_instructions=0,
+    )
+    return result.cycles, int(simulator.perf.get("core.cycles_skipped"))
+
+
+class TestVisitedCyclePins:
+    def test_pins_cover_the_paper_matrix(self):
+        assert {(name, machine) for name, machine, _, _ in
+                VISITED_CYCLE_PINS} == {
+            (name, machine)
+            for name in PAPER_WORKLOADS for machine in PIN_MACHINES
+        }
+
+    @pytest.mark.parametrize(
+        "name,machine,cycles,skipped", VISITED_CYCLE_PINS
+    )
+    def test_fast_path_skips_the_pinned_cycles(
+        self, name, machine, cycles, skipped
+    ):
+        assert _cycles_and_skipped(name, machine) == (cycles, skipped)
+
+    def test_lost_cycle_skipping_fails_the_pin(self):
+        # A loop that visits every cycle gives the same answer but
+        # skips nothing, which the pin rejects.
+        name, machine, cycles, skipped = VISITED_CYCLE_PINS[0]
+        stepped = _cycles_and_skipped(name, machine, event_driven=False)
+        assert stepped == (cycles, 0)
+        assert stepped != (cycles, skipped)

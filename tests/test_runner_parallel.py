@@ -227,6 +227,35 @@ class TestParallelResume:
             assert _results_view(resumed) == _results_view(first)
 
 
+class TestParallelSnapshots:
+    def test_identical_points_keep_their_own_snapshots(self, tmp_path):
+        # Two points with identical inputs under different run_ids, run
+        # side by side.  "twin"'s first launch is killed before it can
+        # snapshot anything; its relaunch must start fresh, not resume
+        # from the snapshot "first" is writing meanwhile (a shared file
+        # would also be deleted under it when "first" completes).
+        specs = [
+            RunSpec(
+                run_id=run_id,
+                config=psb_config(),
+                trace=WorkloadSpec("health", seed=1),
+                max_instructions=40_000,
+            )
+            for run_id in ("first", "twin")
+        ]
+        assert specs[0].fingerprint() == specs[1].fingerprint()
+        camp = str(tmp_path / "camp")
+        campaign = CampaignRunner(
+            camp, workers=2, isolation="process", snapshot_every=2_000,
+            backoff_base=0.2,
+            faults=FaultPlan([Fault("kill", "twin", attempts=1)]),
+        ).run(specs)
+        first, twin = campaign.results["first"], campaign.results["twin"]
+        assert "resumed_from_cycle" not in twin.extra
+        assert (first.cycles, first.ipc) == (twin.cycles, twin.ipc)
+        assert os.listdir(os.path.join(camp, "snapshots")) == []
+
+
 @pytest.mark.slow
 class TestParallelTimeout:
     def test_deadline_kills_only_the_hung_worker(self, tmp_path):

@@ -8,8 +8,8 @@ The sampled estimator's contract has three legs, each pinned here:
   resume seams, and under fault-killed campaign workers.
 - **Accuracy** — the stitched IPC stays within the stated error bound
   of the detailed reference (the full six-workload gate lives in
-  ``bench --sampling``; here a fast subset plus the 1M acceptance
-  workload keep the bound honest in the test suite).
+  ``benchmarks/bench_sampling_error.py``; here a fast subset plus the
+  1M acceptance workload keep the bound honest in the test suite).
 - **Isolation** — sampling must never perturb the detailed path, and
   incompatible combinations (run-level warm-up, golden checking, a
   campaign point handed a snapshot of the other mode) fail loudly.
